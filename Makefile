@@ -15,14 +15,16 @@ COVER_MIN ?= 88
 BENCH_SHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo local)
 
 # Benchmarks the bench-compare gate runs: the register-file and
-# exploration hot paths this codebase optimizes for, kept quick enough
-# for CI. Timing diffs only gate when baseline and current ran on the
-# same CPU model; allocation and paper-level metrics always gate.
-HOTPATH_BENCH ?= E1WakeupForcedSteps|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC
+# exploration hot paths this codebase optimizes for, plus the universal
+# constructions' layer (E3 reductions, E7 Group-Update, E8 Herlihy), kept
+# quick enough for CI. Timing diffs only gate when baseline and current
+# ran on the same CPU model; allocation and paper-level metrics always
+# gate.
+HOTPATH_BENCH ?= E1WakeupForcedSteps|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC|E3TypeLowerBounds|E7GroupUpdate|E8Herlihy
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 
-.PHONY: build vet test race check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
+.PHONY: build vet test race stress check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +37,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Stress the packages whose tests race real goroutines (scheduler
+# workers, lease expiry, campaign rounds): repeat them under several
+# GOMAXPROCS values, so an ordering race fails here rather than as a rare
+# full-suite flake. Six repetitions keep the CI step near five minutes.
+stress:
+	$(GO) test -count=6 -cpu 1,2,8 ./internal/jobs/ ./internal/dist/ ./internal/campaign/
 
 # The short pre-commit loop: compile, vet, full test suite.
 check: build vet test
@@ -73,17 +82,22 @@ bench:
 # Benchmark baseline artifact: three samples per benchmark, converted to
 # BENCH_<sha>.json (scripts/bench_json.go) so CI can archive one
 # machine-readable baseline per commit and two commits can be diffed.
+# -cpu 1 keeps benchmark names free of a -N suffix on any machine, so
+# the baseline and bench-compare (below) always name benchmarks alike.
 bench-json:
-	$(GO) test -run=^$$ -bench=. -benchmem -count=3 . | $(GO) run ./scripts -o BENCH_$(BENCH_SHA).json
+	$(GO) test -run=^$$ -bench=. -benchmem -count=3 -cpu 1 . | $(GO) run ./scripts -o BENCH_$(BENCH_SHA).json
 	@echo "wrote BENCH_$(BENCH_SHA).json"
 
 # Hot-path regression gate: rerun the hot-path benchmarks and diff them
 # against the committed baseline with per-metric-class tolerances
 # (scripts/bench_compare.go). Fails on regressions past tolerance.
+# -cpu 1 matches the baseline's naming (bench-json): its names carry no
+# -N suffix, and at any other GOMAXPROCS every benchmark would be
+# skipped as present in only one artifact.
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no committed BENCH_*.json baseline found"; exit 1; }
 	@echo "comparing against $(BENCH_BASELINE)"
-	$(GO) test -run=^$$ -bench='$(HOTPATH_BENCH)' -benchmem -count=3 . | $(GO) run ./scripts -compare $(BENCH_BASELINE)
+	$(GO) test -run=^$$ -bench='$(HOTPATH_BENCH)' -benchmem -count=3 -cpu 1 . | $(GO) run ./scripts -compare $(BENCH_BASELINE)
 
 # Quick CPU-hotspot report: profile a quick lbreport run and print the
 # top-10 flat consumers. The profile stays in /tmp for deeper digging

@@ -59,16 +59,16 @@ func updateUP(run *AllRun, round *Round) {
 	tracker := moveplan.Eval(round.MovePlan, round.Sigma)
 	// moveUP(R) is the union of rule 3's UP-of-source and UPs-of-movers.
 	moveUP := func(reg int) PidSet {
-		s := prevReg(tracker.Source(reg)).Clone()
+		s := prevReg(tracker.Source(reg))
 		for _, q := range tracker.Movers(reg) {
-			s.UnionWith(prevProc(q))
+			s = unionShared(s, prevProc(q))
 		}
 		return s
 	}
 
-	// Registers. Copy the previous round's sets forward (rule 4; the
-	// stored sets are immutable, so sharing is safe), then overwrite the
-	// registers written this round.
+	// Registers. Copy the previous round's sets forward (rule 4). Stored
+	// sets are immutable, so every rule shares the previous round's set
+	// and unionShared clones only when a union actually grows it.
 	upReg := make(map[int]PidSet, len(run.curUPReg))
 	for reg, s := range run.curUPReg {
 		upReg[reg] = s
@@ -77,10 +77,10 @@ func updateUP(run *AllRun, round *Round) {
 	for _, reg := range written {
 		switch p := round.successfulSC(reg); {
 		case p >= 0: // rule 1
-			upReg[reg] = prevProc(p).Clone()
+			upReg[reg] = prevProc(p)
 		default:
 			if sw := round.swappers(reg); len(sw) > 0 { // rule 2
-				upReg[reg] = prevProc(sw[len(sw)-1]).Clone()
+				upReg[reg] = prevProc(sw[len(sw)-1])
 			} else if round.movedInto(reg) { // rule 3
 				upReg[reg] = moveUP(reg)
 			}
@@ -107,7 +107,7 @@ func updateUP(run *AllRun, round *Round) {
 	}
 	upProc := make(map[int]PidSet, run.N)
 	for pid := 0; pid < run.N; pid++ {
-		up := prevProc(pid).Clone()
+		up := prevProc(pid)
 		step, acted := stepOf[pid]
 		if !acted { // rule 8
 			upProc[pid] = up
@@ -116,23 +116,23 @@ func updateUP(run *AllRun, round *Round) {
 		reg := step.Op.Reg
 		switch step.Op.Kind {
 		case shmem.OpLL, shmem.OpValidate: // rule 1
-			up.UnionWith(prevReg(reg))
+			up = unionShared(up, prevReg(reg))
 		case shmem.OpMove: // rule 2
 		case shmem.OpSwap:
 			sw := round.swappers(reg)
 			switch {
 			case sw[0] != pid: // rule 5
-				up.UnionWith(prevProc(prevSwapper(sw, pid)))
+				up = unionShared(up, prevProc(prevSwapper(sw, pid)))
 			case round.movedInto(reg): // rule 4
-				up.UnionWith(moveUP(reg))
+				up = unionShared(up, moveUP(reg))
 			default: // rule 3
-				up.UnionWith(prevReg(reg))
+				up = unionShared(up, prevReg(reg))
 			}
 		case shmem.OpSC:
 			if step.Resp.OK { // rule 6
-				up.UnionWith(prevReg(reg))
+				up = unionShared(up, prevReg(reg))
 			} else { // rule 7
-				up.UnionWith(curReg(reg))
+				up = unionShared(up, curReg(reg))
 			}
 		}
 		upProc[pid] = up
@@ -147,6 +147,18 @@ func updateUP(run *AllRun, round *Round) {
 	if run.lemma51Err == nil {
 		run.lemma51Err = checkLemma51Round(run.N, r, upProc, upReg, written)
 	}
+}
+
+// unionShared returns s ∪ o without mutating either: s itself when o adds
+// nothing, otherwise a fresh clone. Both inputs may be shared, immutable
+// UP sets.
+func unionShared(s, o PidSet) PidSet {
+	if o.SubsetOf(s) {
+		return s
+	}
+	s = s.Clone()
+	s.UnionWith(o)
+	return s
 }
 
 // checkLemma51Round verifies |UP(X, r)| ≤ 4^r for the just-updated sets.

@@ -198,3 +198,20 @@ func TestNoHistoryRunsRejectSubRunsButKeepChecks(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionSharedClonesOnlyOnGrowth: unionShared hands back its first
+// argument (no copy) when the union adds nothing, and otherwise a fresh set,
+// leaving both inputs — shared, immutable UP sets — untouched.
+func TestUnionSharedClonesOnlyOnGrowth(t *testing.T) {
+	s, sub, other := NewPidSet(1, 2, 70), NewPidSet(2), NewPidSet(3, 130)
+	if got := unionShared(s, sub); &got.words[0] != &s.words[0] || !got.Equal(s) {
+		t.Fatalf("unionShared(s, subset) = %v, want s itself", got)
+	}
+	got := unionShared(s, other)
+	if !got.Equal(NewPidSet(1, 2, 3, 70, 130)) || got.Len() != 5 {
+		t.Fatalf("unionShared(s, other) = %v", got)
+	}
+	if &got.words[0] == &s.words[0] || !s.Equal(NewPidSet(1, 2, 70)) || !other.Equal(NewPidSet(3, 130)) {
+		t.Fatalf("unionShared mutated or aliased an input: s=%v other=%v", s, other)
+	}
+}

@@ -2,11 +2,13 @@ package jobs
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -57,9 +59,21 @@ type Cache struct {
 	dir   string
 
 	checkpoints map[string][]byte
-	jobRecords  map[string][]byte
+	jobRecords  map[string]jobRecord
+
+	// recMu orders PutJobRecord's compare-and-write per job ID: stripe
+	// i serializes the IDs whose first byte is i, so writes to one ID
+	// are ordered while writes to different IDs mostly run in parallel.
+	recMu [256]sync.Mutex
 
 	hits, diskHits, misses, evictions int64
+}
+
+// jobRecord is the memory mirror of one <id>.job.json, with its decoded
+// sequence number so a write compares against it without decoding again.
+type jobRecord struct {
+	data []byte
+	seq  uint64
 }
 
 type cacheEntry struct {
@@ -85,7 +99,7 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 		items:       make(map[string]*list.Element),
 		dir:         dir,
 		checkpoints: make(map[string][]byte),
-		jobRecords:  make(map[string][]byte),
+		jobRecords:  make(map[string]jobRecord),
 	}, nil
 }
 
@@ -201,9 +215,26 @@ func (c *Cache) GetCheckpoint(id string) ([]byte, bool) {
 // checkpoints they are mutable, LRU-exempt, and overwritten in place on
 // every status transition, so the newest complete record always survives
 // a SIGKILL (the atomic rename never leaves a torn file).
+//
+// Records are ordered by their "seq" field (JobRecord.Seq). A record
+// whose seq is below the stored one's is stale — its snapshot was taken
+// before the stored record's — and is dropped, so a writer that lost a
+// race can never regress a job's durable state. Writes to one ID are
+// serialized, so the file and the memory mirror (which boot replay fills
+// from the directory) always agree on the newest record.
 func (c *Cache) PutJobRecord(id string, data []byte) error {
 	if !cacheIDPattern.MatchString(id) {
 		return fmt.Errorf("jobs: job record id %q is not a sha256 hex digest", id)
+	}
+	stripe, _ := strconv.ParseUint(id[:2], 16, 8)
+	c.recMu[stripe].Lock()
+	defer c.recMu[stripe].Unlock()
+	seq := recordSeq(data)
+	c.mu.Lock()
+	stored, ok := c.jobRecords[id]
+	c.mu.Unlock()
+	if ok && seq < stored.seq {
+		return nil
 	}
 	if c.dir != "" {
 		if err := writeFileAtomic(filepath.Join(c.dir, id+".job.json"), data); err != nil {
@@ -211,18 +242,28 @@ func (c *Cache) PutJobRecord(id string, data []byte) error {
 		}
 	}
 	c.mu.Lock()
-	c.jobRecords[id] = append([]byte(nil), data...)
+	c.jobRecords[id] = jobRecord{data: append([]byte(nil), data...), seq: seq}
 	c.mu.Unlock()
 	return nil
+}
+
+// recordSeq returns a job record's sequence number; a record that does not
+// decode carries no order and counts as 0.
+func recordSeq(data []byte) uint64 {
+	var head struct {
+		Seq uint64 `json:"seq"`
+	}
+	_ = json.Unmarshal(data, &head)
+	return head.Seq
 }
 
 // GetJobRecord returns the journal record for id, checking memory first
 // and then the cache directory.
 func (c *Cache) GetJobRecord(id string) ([]byte, bool) {
 	c.mu.Lock()
-	if data, ok := c.jobRecords[id]; ok {
+	if rec, ok := c.jobRecords[id]; ok {
 		c.mu.Unlock()
-		return append([]byte(nil), data...), true
+		return append([]byte(nil), rec.data...), true
 	}
 	c.mu.Unlock()
 	if c.dir == "" || !cacheIDPattern.MatchString(id) {
@@ -232,8 +273,11 @@ func (c *Cache) GetJobRecord(id string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
+	seq := recordSeq(data)
 	c.mu.Lock()
-	c.jobRecords[id] = append([]byte(nil), data...)
+	if _, ok := c.jobRecords[id]; !ok {
+		c.jobRecords[id] = jobRecord{data: append([]byte(nil), data...), seq: seq}
+	}
 	c.mu.Unlock()
 	return data, true
 }

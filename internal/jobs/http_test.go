@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,8 +234,9 @@ func TestHTTPEventsStream(t *testing.T) {
 
 func TestHTTPCancelJob(t *testing.T) {
 	started := make(chan struct{})
+	var startedOnce sync.Once
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		close(started)
+		startedOnce.Do(func() { close(started) })
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -429,12 +431,9 @@ func TestHTTPHealthz(t *testing.T) {
 func TestHTTPQueueFullMaps503(t *testing.T) {
 	release := make(chan struct{})
 	running := make(chan struct{})
-	var once bool
+	var runningOnce sync.Once
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		if !once {
-			once = true
-			close(running)
-		}
+		runningOnce.Do(func() { close(running) })
 		select {
 		case <-release:
 			return []byte(`{"ok":true}`), nil
@@ -466,10 +465,11 @@ func TestHTTPQueueFullMaps503(t *testing.T) {
 // no duplicated frames, same terminal status event.
 func TestHTTPEventsResumeLastEventID(t *testing.T) {
 	emitted := make(chan struct{})
+	var emittedOnce sync.Once
 	release := make(chan struct{})
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
 		p.Set("phase-a", 1, 3) // seq 2 (seq 1 is "queued")
-		close(emitted)
+		emittedOnce.Do(func() { close(emitted) })
 		select {
 		case <-release:
 		case <-ctx.Done():

@@ -36,12 +36,21 @@ type JobRecord struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
+
+	// Seq orders the records of one job ID. It is taken under the job's
+	// lock together with the snapshot, so a later snapshot always carries
+	// a larger Seq; the cache drops a write older than the stored record
+	// (Cache.PutJobRecord), and a replayed job continues from it.
+	Seq uint64 `json:"seq,omitempty"`
 }
 
-// journalRecord snapshots j into its durable form. Callers hold j.mu or
-// own j exclusively.
+// journalRecordLocked snapshots j into its durable form, stamped with the
+// job's next record sequence number. Callers hold j.mu or own j
+// exclusively.
 func (j *job) journalRecordLocked() JobRecord {
+	j.journalSeq++
 	rec := JobRecord{
+		Seq:       j.journalSeq,
 		ID:        j.id,
 		Tenant:    j.tenant,
 		Spec:      j.spec,
@@ -65,10 +74,22 @@ func (j *job) journalRecordLocked() JobRecord {
 // and counted, never fatal: the in-memory scheduler stays authoritative
 // for this life, and the worst a lost write costs after a crash is
 // re-running one deterministic job.
-func (s *Scheduler) journal(j *job) {
+func (s *Scheduler) journal(j *job) { s.journalEdited(j, nil) }
+
+// journalEdited persists j's current state after edit (if any) rewrites
+// the snapshot. A job superseded by a resubmission of its ID journals
+// nothing more: the new job owns the record.
+func (s *Scheduler) journalEdited(j *job, edit func(*JobRecord)) {
 	j.mu.Lock()
+	if j.superseded {
+		j.mu.Unlock()
+		return
+	}
 	rec := j.journalRecordLocked()
 	j.mu.Unlock()
+	if edit != nil {
+		edit(&rec)
+	}
 	data, err := json.Marshal(rec)
 	if err == nil {
 		err = s.cache.PutJobRecord(rec.ID, data)
@@ -159,6 +180,8 @@ func (s *Scheduler) replayRecord(rec JobRecord) bool {
 		created:  rec.Created,
 		progress: NewProgress(),
 		done:     make(chan struct{}),
+
+		journalSeq: rec.Seq,
 	}
 	if rec.Started != nil {
 		j.started = *rec.Started

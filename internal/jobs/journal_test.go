@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,9 +157,11 @@ func TestJournalReplayReenqueuesEveryKind(t *testing.T) {
 // re-enqueued, whether it was queued or running when canceled.
 func TestJournalTombstoneSurvivesRestart(t *testing.T) {
 	runningStarted := make(chan struct{})
+	var startedOnce sync.Once
 	release := make(chan struct{})
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		close(runningStarted)
+		// The queued job can reach the single worker before Cancel does.
+		startedOnce.Do(func() { close(runningStarted) })
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -223,8 +227,9 @@ func TestJournalTombstoneSurvivesRestart(t *testing.T) {
 // completes in the next life.
 func TestJournalDrainCancelResumesAfterRestart(t *testing.T) {
 	started := make(chan struct{})
+	var startedOnce sync.Once
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		close(started)
+		startedOnce.Do(func() { close(started) })
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -382,5 +387,201 @@ func TestJournalRecordPrunedWithJob(t *testing.T) {
 	// Its result is still content-addressed-cached, though.
 	if _, ok := s.Cache().Get(firstID); !ok {
 		t.Fatal("pruning removed the cached result, not just the record")
+	}
+}
+
+// readRecord decodes the journal record for id from a fresh cache over dir,
+// i.e. what a restarted server would replay.
+func readRecord(t *testing.T, dir, id string) JobRecord {
+	t.Helper()
+	cache, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := cache.GetJobRecord(id)
+	if !ok {
+		t.Fatalf("no journal record for %s", id)
+	}
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestJournalStaleRecordLoses: a record snapshotted before the stored one
+// (lower Seq) is dropped on write, in memory and on disk, so a writer that
+// lost a race cannot regress a job's durable state.
+func TestJournalStaleRecordLoses(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fuzzSpec(3)
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(seq uint64, status Status) {
+		data, err := json.Marshal(JobRecord{ID: id, Spec: spec, Status: status, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.PutJobRecord(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(3, StatusDone)
+	put(1, StatusQueued) // stale: snapshotted before the done record
+	data, _ := cache.GetJobRecord(id)
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil || rec.Status != StatusDone {
+		t.Fatalf("memory record = %+v, %v; want the done record", rec, err)
+	}
+	if rec := readRecord(t, dir, id); rec.Status != StatusDone || rec.Seq != 3 {
+		t.Fatalf("disk record = status %s seq %d, want done seq 3", rec.Status, rec.Seq)
+	}
+}
+
+// TestJournalSeqContinuesAcrossResubmitAndRestart: the records of a job
+// that replaces a canceled one, and of a job replayed after a restart,
+// continue the ID's sequence — they are never dropped as stale.
+func TestJournalSeqContinuesAcrossResubmitAndRestart(t *testing.T) {
+	started := make(chan struct{})
+	var startedOnce sync.Once
+	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
+		startedOnce.Do(func() { close(started) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	dir := t.TempDir()
+	cache1, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := NewScheduler(Options{Workers: 1, Cache: cache1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _, err := s1.Submit(fuzzSpec(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	s1.Cancel(view.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if final, err := s1.Wait(ctx, view.ID); err != nil || final.Status != StatusCanceled {
+		t.Fatalf("canceled job: %+v, %v", final, err)
+	}
+	canceledSeq := readRecord(t, dir, view.ID).Seq
+
+	// Resubmit: the fresh job's queued record must replace the tombstone.
+	// A busy worker keeps it queued.
+	busy := make(chan struct{})
+	var busyOnce sync.Once
+	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
+		busyOnce.Do(func() { close(busy) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if _, _, err := s1.Submit(fuzzSpec(10)); err != nil {
+		t.Fatal(err)
+	}
+	<-busy
+	if _, _, err := s1.Submit(fuzzSpec(9)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := readRecord(t, dir, view.ID); rec.Status != StatusQueued || rec.Tombstone || rec.Seq <= canceledSeq {
+		t.Fatalf("resubmitted record = status %s tombstone %v seq %d (canceled seq %d)", rec.Status, rec.Tombstone, rec.Seq, canceledSeq)
+	}
+
+	// Restart: the second life replays the queued record, and its done
+	// record must land.
+	queuedSeq := readRecord(t, dir, view.ID).Seq
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	swapRunSpec(t, echoRunSpec)
+	s2 := newDirScheduler(t, dir, Options{Workers: 1})
+	if final, err := s2.Wait(ctx, view.ID); err != nil || final.Status != StatusDone {
+		t.Fatalf("replayed job: %+v, %v", final, err)
+	}
+	if rec := readRecord(t, dir, view.ID); rec.Status != StatusDone || rec.Seq <= queuedSeq {
+		t.Fatalf("replayed record = status %s seq %d, want done past seq %d", rec.Status, rec.Seq, queuedSeq)
+	}
+}
+
+// TestJournalRejectedResubmitKeepsTombstone: a resubmission of a canceled
+// ID that the full queue rejects leaves the canceled job's record with
+// it. The test plays Cancel's two halves around the resubmission — the
+// job canceled in memory first, its tombstone journaled after the
+// rejection — and the tombstone must still land and survive a restart.
+func TestJournalRejectedResubmitKeepsTombstone(t *testing.T) {
+	started := make(chan struct{})
+	var startedOnce sync.Once
+	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
+		startedOnce.Do(func() { close(started) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	dir := t.TempDir()
+	cache1, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := NewScheduler(Options{Workers: 1, QueueDepth: 1, Cache: cache1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Submit(fuzzSpec(20)); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	spec := fuzzSpec(21)
+	view, _, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Cancel's first half: canceled in memory, counts moved, tombstone
+	// not yet journaled.
+	s1.mu.Lock()
+	j := s1.jobs[view.ID]
+	tq := s1.tq[j.tenant]
+	tq.queued--
+	s1.queuedTotal--
+	s1.mu.Unlock()
+	j.mu.Lock()
+	j.status = StatusCanceled
+	j.tombstoned = true
+	j.finished = time.Now()
+	j.mu.Unlock()
+
+	// Another job fills the queue, and the resubmission is rejected.
+	if _, _, err := s1.Submit(fuzzSpec(22)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Submit(spec); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("resubmission into a full queue: err %v, want ErrQueueFull", err)
+	}
+
+	// Cancel's second half: the tombstone write.
+	s1.journal(j)
+	if rec := readRecord(t, dir, view.ID); rec.Status != StatusCanceled || !rec.Tombstone {
+		t.Fatalf("record after rejected resubmission = status %s tombstone %v, want canceled tombstone", rec.Status, rec.Tombstone)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	swapRunSpec(t, echoRunSpec)
+	s2 := newDirScheduler(t, dir, Options{Workers: 1})
+	time.Sleep(20 * time.Millisecond)
+	if got, ok := s2.Get(view.ID); !ok || got.Status != StatusCanceled {
+		t.Fatalf("after restart: tracked %v status %s, want canceled", ok, got.Status)
 	}
 }

@@ -119,8 +119,10 @@ type job struct {
 	mu         sync.Mutex
 	status     Status
 	cached     bool
-	tombstoned bool // canceled explicitly; replay must keep it canceled
-	dispatched bool // popped from its tenant queue (queue counts moved)
+	tombstoned bool   // canceled explicitly; replay must keep it canceled
+	dispatched bool   // popped from its tenant queue (queue counts moved)
+	superseded bool   // replaced by a resubmission; journals nothing more
+	journalSeq uint64 // Seq of the last journal record snapshotted
 	result     []byte
 	errMsg     string
 	created    time.Time
@@ -415,8 +417,9 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		s.mu.Unlock()
 		return JobView{}, false, ErrShuttingDown
 	}
-	if j, ok := s.jobs[id]; ok {
-		view := j.snapshot()
+	old, ok := s.jobs[id]
+	if ok {
+		view := old.snapshot()
 		if !(view.Status == StatusFailed || view.Status == StatusCanceled) {
 			if view.Status == StatusDone {
 				view.Cached = true
@@ -450,6 +453,7 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		j.progress.Set("cached", 1, 1)
 		j.progress.Close()
 		close(j.done)
+		supersede(old, j)
 		s.jobs[id] = j
 		s.counters.submitted++
 		s.counters.cacheServed++
@@ -475,6 +479,7 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		return JobView{}, false, &TenantBusyError{Tenant: tenantName, RetryAfter: time.Second}
 	}
 	s.enqueueLocked(j)
+	supersede(old, j)
 	s.jobs[id] = j
 	s.counters.submitted++
 	s.pruneLocked()
@@ -485,6 +490,22 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 	s.journal(j)
 	s.jobLogger(id, spec.Kind).Info("job queued", "tenant", tenantName)
 	return j.snapshot(), true, nil
+}
+
+// supersede hands the journal record of old, a failed or canceled job
+// (nil if none), to j, which is replacing it in s.jobs: old journals
+// nothing more, and j's records continue old's sequence so they outrank
+// any write old still has in flight. Callers hold s.mu and call it only
+// once j is certain to be installed — a rejected resubmission must leave
+// old's pending writes (a cancel tombstone, a terminal record) intact.
+func supersede(old, j *job) {
+	if old == nil {
+		return
+	}
+	old.mu.Lock()
+	old.superseded = true
+	j.journalSeq = old.journalSeq
+	old.mu.Unlock()
 }
 
 // maxTrackedJobs bounds the scheduler's job map. The map used to grow
@@ -949,21 +970,11 @@ func (s *Scheduler) journalTerminal(j *job, status Status) {
 	draining := s.draining
 	s.mu.Unlock()
 	if status == StatusCanceled && !tombstoned && draining {
-		j.mu.Lock()
-		rec := j.journalRecordLocked()
-		j.mu.Unlock()
-		rec.Status = StatusQueued
-		rec.Error = ""
-		rec.Started, rec.Finished = nil, nil
-		data, err := json.Marshal(rec)
-		if err == nil {
-			err = s.cache.PutJobRecord(rec.ID, data)
-		}
-		if err != nil {
-			s.met.journalErrors.Inc()
-			return
-		}
-		s.met.journalWrites.Inc()
+		s.journalEdited(j, func(rec *JobRecord) {
+			rec.Status = StatusQueued
+			rec.Error = ""
+			rec.Started, rec.Finished = nil, nil
+		})
 		s.jobLogger(j.id, j.spec.Kind).Info("drained job journaled as queued for resume")
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -178,12 +179,13 @@ func TestSchedulerServesFromDiskCacheAcrossRestart(t *testing.T) {
 
 func TestSchedulerCancelRunningJob(t *testing.T) {
 	running := make(chan struct{})
+	var runningOnce sync.Once
 	var resumed bool
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
 		if resumed {
 			return []byte(`{"ok":true}`), nil
 		}
-		close(running)
+		runningOnce.Do(func() { close(running) })
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -238,13 +240,10 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 
 func TestSchedulerCancelQueuedJob(t *testing.T) {
 	running := make(chan struct{})
+	var runningOnce sync.Once
 	release := make(chan struct{})
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		select {
-		case <-running:
-		default:
-			close(running)
-		}
+		runningOnce.Do(func() { close(running) })
 		select {
 		case <-release:
 			return []byte(`{"ok":true}`), nil
@@ -384,12 +383,9 @@ func TestSchedulerJobTimeout(t *testing.T) {
 func TestSchedulerQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	running := make(chan struct{})
-	var once bool
+	var runningOnce sync.Once
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		if !once {
-			once = true
-			close(running)
-		}
+		runningOnce.Do(func() { close(running) })
 		select {
 		case <-release:
 			return []byte(`{"ok":true}`), nil
@@ -415,8 +411,9 @@ func TestSchedulerQueueFull(t *testing.T) {
 
 func TestSchedulerShutdownRejectsAndCancels(t *testing.T) {
 	started := make(chan struct{})
+	var startedOnce sync.Once
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
-		close(started)
+		startedOnce.Do(func() { close(started) })
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})

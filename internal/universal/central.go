@@ -18,6 +18,7 @@ type Central struct {
 	typ  objtype.Type
 	n    int
 	base int
+	memo *replayMemo
 }
 
 var _ Construction = (*Central)(nil)
@@ -25,7 +26,7 @@ var _ Construction = (*Central)(nil)
 // NewCentral instantiates the construction for an n-process object of the
 // given type, occupying the single register base.
 func NewCentral(typ objtype.Type, n, base int) *Central {
-	return &Central{typ: typ, n: n, base: base}
+	return &Central{typ: typ, n: n, base: base, memo: newReplayMemo(typ, n)}
 }
 
 // Name implements Construction.
@@ -48,7 +49,7 @@ func (c *Central) Invoke(p machine.Port, op objtype.Op) objtype.Value {
 		seq := nextSeq(cur, pid)
 		next := merge(cur, Log{{Pid: pid, Seq: seq, Op: op}})
 		if ok, _ := p.SC(c.base, next); ok {
-			return replayResponse(c.typ, c.n, next, pid, seq)
+			return c.memo.response(next, pid, seq)
 		}
 	}
 }

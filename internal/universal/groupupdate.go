@@ -46,6 +46,7 @@ type GroupUpdate struct {
 	n      int
 	base   int
 	leaves int // number of leaf slots: smallest power of two ≥ n
+	memo   *replayMemo
 }
 
 var _ Construction = (*GroupUpdate)(nil)
@@ -57,7 +58,7 @@ func NewGroupUpdate(typ objtype.Type, n, base int) *GroupUpdate {
 	for leaves < n {
 		leaves *= 2
 	}
-	return &GroupUpdate{typ: typ, n: n, base: base, leaves: leaves}
+	return &GroupUpdate{typ: typ, n: n, base: base, leaves: leaves, memo: newReplayMemo(typ, n)}
 }
 
 // Name implements Construction.
@@ -112,7 +113,7 @@ func (g *GroupUpdate) Invoke(p machine.Port, op objtype.Op) objtype.Value {
 
 	// The record is now in the root log; respond by local replay.
 	root := asLog(p.Read(g.node(1)))
-	return replayResponse(g.typ, g.n, root, pid, seq)
+	return g.memo.response(root, pid, seq)
 }
 
 // log2Ceil returns ⌈log₂ v⌉ for v ≥ 1.

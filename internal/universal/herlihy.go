@@ -26,6 +26,7 @@ type Herlihy struct {
 	typ  objtype.Type
 	n    int
 	base int
+	memo *replayMemo
 }
 
 var _ Construction = (*Herlihy)(nil)
@@ -33,7 +34,7 @@ var _ Construction = (*Herlihy)(nil)
 // NewHerlihy instantiates the construction for an n-process object of the
 // given type, occupying registers [base, base+Registers()).
 func NewHerlihy(typ objtype.Type, n, base int) *Herlihy {
-	return &Herlihy{typ: typ, n: n, base: base}
+	return &Herlihy{typ: typ, n: n, base: base, memo: newReplayMemo(typ, n)}
 }
 
 // Name implements Construction.
@@ -78,5 +79,5 @@ func (h *Herlihy) Invoke(p machine.Port, op objtype.Op) objtype.Value {
 	}
 
 	log := asLog(p.Read(h.main()))
-	return replayResponse(h.typ, h.n, log, pid, seq)
+	return h.memo.response(log, pid, seq)
 }

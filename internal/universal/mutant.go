@@ -61,5 +61,5 @@ func (g *brokenGroupUpdate) Invoke(p machine.Port, op objtype.Op) objtype.Value 
 	}
 
 	root := asLog(p.Read(g.node(1)))
-	return replayResponse(g.typ, g.n, root, pid, seq)
+	return g.memo.response(root, pid, seq)
 }

@@ -2,6 +2,8 @@ package universal
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +69,54 @@ func TestMergeEmptyBase(t *testing.T) {
 	got := merge(nil, Log{{Pid: 5, Seq: 0}})
 	if len(got) != 1 || got[0].Pid != 5 {
 		t.Fatalf("merge(nil, ...) = %v", got)
+	}
+}
+
+// mergeMapReference is the original map-keyed merge, kept as the
+// reference the bitset merge is checked against.
+func mergeMapReference(base Log, extras ...Log) Log {
+	seen := make(map[[2]int]bool, len(base))
+	for _, r := range base {
+		seen[[2]int{r.Pid, r.Seq}] = true
+	}
+	out := make(Log, len(base), len(base)+4)
+	copy(out, base)
+	for _, extra := range extras {
+		for _, r := range extra {
+			key := [2]int{r.Pid, r.Seq}
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// TestMergeMatchesMapReference compares merge with the map-keyed reference
+// on random overlapping logs, on both sides of the stack-buffer size (a
+// pid·seq space of 512 bits).
+func TestMergeMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randLog := func(pids, seqs int) Log {
+		l := make(Log, rng.Intn(12))
+		for i := range l {
+			l[i] = Record{Pid: rng.Intn(pids), Seq: rng.Intn(seqs), Op: objtype.Op{Name: fmt.Sprint(rng.Intn(3))}}
+		}
+		return l
+	}
+	for _, size := range []struct{ pids, seqs int }{{1, 1}, {4, 2}, {64, 8}, {256, 1}, {300, 5}} {
+		for i := 0; i < 500; i++ {
+			base := randLog(size.pids, size.seqs)
+			extras := make([]Log, rng.Intn(4))
+			for k := range extras {
+				extras[k] = randLog(size.pids, size.seqs)
+			}
+			got, want := merge(base, extras...), mergeMapReference(base, extras...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("merge(%v, %v) = %v, reference %v", base, extras, got, want)
+			}
+		}
 	}
 }
 
@@ -351,7 +401,7 @@ func TestReplayResponseMissingRecordPanics(t *testing.T) {
 			t.Fatal("missing record must panic")
 		}
 	}()
-	replayResponse(objtype.NewFetchIncrement(8), 2, Log{}, 0, 0)
+	newReplayMemo(objtype.NewFetchIncrement(8), 2).response(Log{}, 0, 0)
 }
 
 func TestGroupUpdateStack(t *testing.T) {
