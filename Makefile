@@ -16,11 +16,11 @@ BENCH_SHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo local)
 
 # Benchmarks the bench-compare gate runs: the register-file and
 # exploration hot paths this codebase optimizes for, plus the universal
-# constructions' layer (E3 reductions, E7 Group-Update, E8 Herlihy), kept
-# quick enough for CI. Timing diffs only gate when baseline and current
-# ran on the same CPU model; allocation and paper-level metrics always
-# gate.
-HOTPATH_BENCH ?= E1WakeupForcedSteps|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC|E3TypeLowerBounds|E7GroupUpdate|E8Herlihy
+# constructions' layer (E3 reductions, E7 Group-Update, E8 Herlihy) and
+# the E11 counting network, kept quick enough for CI. Timing diffs only
+# gate when baseline and current ran on the same CPU model; allocation
+# and paper-level metrics always gate.
+HOTPATH_BENCH ?= E1WakeupForcedSteps|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC|E3TypeLowerBounds|E7GroupUpdate|E8Herlihy|E11CountingNetwork
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 

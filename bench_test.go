@@ -67,7 +67,7 @@ func BenchmarkE2RandomizedWakeup(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				res, err := lowerbound.ExpectedComplexityParallel(
+				res, err := lowerbound.ExpectedComplexity(context.Background(),
 					func(int) machine.Algorithm { return wakeup.DoubleRegister() },
 					n, 10, int64(i), runtime.GOMAXPROCS(0))
 				if err != nil {
@@ -88,7 +88,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := lowerbound.SweepWakeupParallel(
+				results, err := lowerbound.SweepWakeup(context.Background(),
 					func(n int) machine.Algorithm { return wakeup.SetRegister() },
 					ns, machine.ZeroTosses, workers)
 				if err != nil {
@@ -109,7 +109,7 @@ func BenchmarkE5IndistinguishabilityParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				checked, err := lowerbound.VerifyIndistinguishabilityParallel(
+				checked, err := lowerbound.VerifyIndistinguishability(context.Background(),
 					wakeup.SetRegister(), n, machine.ZeroTosses, workers)
 				if err != nil {
 					b.Fatal(err)
@@ -183,7 +183,7 @@ func BenchmarkE5Indistinguishability(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := lowerbound.VerifyIndistinguishability(wakeup.SetRegister(), n, machine.ZeroTosses); err != nil {
+				if _, err := lowerbound.VerifyIndistinguishability(context.Background(), wakeup.SetRegister(), n, machine.ZeroTosses, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

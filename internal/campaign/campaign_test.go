@@ -316,3 +316,41 @@ func TestZooCampaignRound(t *testing.T) {
 		t.Fatal("no slot completed — random walks should finish the tournament")
 	}
 }
+
+// TestSpecIDExactFor63BitSeeds: campaign seeds above 2^53 that differ
+// only in their low bits are different campaigns.
+func TestSpecIDExactFor63BitSeeds(t *testing.T) {
+	const seed = int64(1)<<62 + 1
+	a, err := (&Spec{Seed: seed}).ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := (&Spec{Seed: seed + 1}).ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatalf("seeds %d and %d share campaign ID %s", seed, seed+1, a)
+	}
+}
+
+// TestSpecIDPinned pins campaign IDs (seeds below 2^53), so checkpoints
+// written by earlier versions still resume under the same ID.
+func TestSpecIDPinned(t *testing.T) {
+	cases := []struct {
+		spec *Spec
+		want string
+	}{
+		{&Spec{}, "26538fb7931f906ed1760813ade9caf178b5323064cf784f90bce998985f731d"},
+		{&Spec{Alg: "herlihy", N: 3, Seed: 1<<52 + 3, TossRange: 4, BatchSize: 32, MaxCorpus: 8, MaxRounds: 5}, "29eb9c8d91118ea7486026bb6f9cdb184f8e04f9c0aa171ed2f06a627f2adc7f"},
+	}
+	for i, c := range cases {
+		got, err := c.spec.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("case %d: ID = %s, want %s", i, got, c.want)
+		}
+	}
+}

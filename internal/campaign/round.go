@@ -83,7 +83,7 @@ func ExecuteRoundSlice(ctx context.Context, rs *RoundSpec, lo, hi, parallel int)
 		return nil, fmt.Errorf("campaign: slot range [%d, %d) outside the %d-input round", lo, hi, spec.BatchSize)
 	}
 	cfg := spec.ExploreConfig()
-	return sweep.MapCtx(ctx, parallel, hi-lo, func(i int) (InputResult, error) {
+	return sweep.Map(ctx, parallel, hi-lo, func(i int) (InputResult, error) {
 		slot := lo + i
 		global := rs.Round*spec.BatchSize + slot
 		seed := sweep.Derive(spec.Seed, global)

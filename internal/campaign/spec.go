@@ -21,6 +21,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -174,15 +175,14 @@ func (s *Spec) ExploreConfig() explore.Config {
 }
 
 // ID normalizes and validates the spec and returns its content hash: the
-// lowercase hex SHA-256 of the canonical JSON encoding (keys sorted via a
-// generic-value round trip, the same scheme job IDs use). The ID doubles
-// as the checkpoint key in the jobs cache.
+// lowercase hex SHA-256 of its CanonicalJSON encoding (the same scheme job
+// IDs use). The ID doubles as the checkpoint key in the jobs cache.
 func (s *Spec) ID() (string, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	canon, err := canonicalJSON(s)
+	canon, err := CanonicalJSON(s)
 	if err != nil {
 		return "", err
 	}
@@ -190,15 +190,22 @@ func (s *Spec) ID() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// canonicalJSON marshals v, re-serializes through a generic value so
-// object keys sort, and returns the stable bytes.
-func canonicalJSON(v any) ([]byte, error) {
+// CanonicalJSON marshals v and re-serializes it through a generic value,
+// so object keys sort and the bytes are independent of struct field
+// order. Numbers are decoded as json.Number and so keep their exact
+// digits: an int64 seed above 2^53 does not round through float64, and
+// two specs whose seeds differ only in their low bits hash apart. Below
+// 2^53 the bytes equal those of a float64 round trip, which keeps the IDs
+// of existing caches, journals and checkpoints valid.
+func CanonicalJSON(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: canonical encoding: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
 	var generic any
-	if err := json.Unmarshal(raw, &generic); err != nil {
+	if err := dec.Decode(&generic); err != nil {
 		return nil, fmt.Errorf("campaign: canonical encoding: %w", err)
 	}
 	out, err := json.Marshal(generic)

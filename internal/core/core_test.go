@@ -102,9 +102,12 @@ func TestPidSetBasics(t *testing.T) {
 	if !s.SubsetOf(o) || o.SubsetOf(s) {
 		t.Fatal("SubsetOf wrong")
 	}
-	u := Union(NewPidSet(1), NewPidSet(2), NewPidSet(1, 5))
+	var u PidSet
+	for _, o := range []PidSet{NewPidSet(1), NewPidSet(2), NewPidSet(1, 5)} {
+		u.UnionWith(o)
+	}
 	if !u.Equal(NewPidSet(1, 2, 5)) {
-		t.Fatalf("Union = %v", u)
+		t.Fatalf("UnionWith = %v", u)
 	}
 	if got := NewPidSet(2, 0).String(); got != "{p0, p2}" {
 		t.Fatalf("String = %q", got)
@@ -308,7 +311,7 @@ func TestIndistinguishabilityOnSetRegister(t *testing.T) {
 func TestIndistinguishabilityWithFullSet(t *testing.T) {
 	// S = all processes: the (S,A)-run IS the (All,A)-run.
 	run := mustRunAll(t, setRegisterWakeup, 6)
-	all := FullPidSet(6)
+	all := NewPidSet(0, 1, 2, 3, 4, 5)
 	sub, err := RunSub(run, all)
 	if err != nil {
 		t.Fatal(err)

@@ -30,23 +30,6 @@ func NewPidSet(pids ...int) PidSet {
 	return s
 }
 
-// FullPidSet returns the set {0, ..., n-1} — the All of the (All,A)-run —
-// built a word at a time via shmem.MaskUpTo.
-func FullPidSet(n int) PidSet {
-	if n <= 0 {
-		return PidSet{}
-	}
-	words := make([]uint64, shmem.WordOf(n-1)+1)
-	for i := range words {
-		k := n - i*64
-		if k > 64 {
-			k = 64
-		}
-		words[i] = shmem.MaskUpTo(k)
-	}
-	return PidSet{words: words, count: n}
-}
-
 // Add inserts pid (non-negative).
 func (s *PidSet) Add(pid int) {
 	w := shmem.WordOf(pid)
@@ -90,15 +73,6 @@ func (s *PidSet) UnionWith(o PidSet) {
 		count += bits.OnesCount64(s.words[i])
 	}
 	s.count = count
-}
-
-// Union returns a fresh set containing the elements of all the given sets.
-func Union(sets ...PidSet) PidSet {
-	var out PidSet
-	for _, s := range sets {
-		out.UnionWith(s)
-	}
-	return out
 }
 
 // SubsetOf reports whether every element of s is in o.

@@ -160,7 +160,7 @@ func executeSweepShard(ctx context.Context, spec *jobs.SweepSpec, r Range, paral
 	}
 	ns := spec.Ns()
 	names := spec.ConstructionNames()
-	results, err := sweep.MapCtx(ctx, parallel, r.Len(), func(i int) (lowerbound.ConstructionResult, error) {
+	results, err := sweep.Map(ctx, parallel, r.Len(), func(i int) (lowerbound.ConstructionResult, error) {
 		ci := r.Lo + i
 		name := names[ci/len(ns)]
 		n := ns[ci%len(ns)]

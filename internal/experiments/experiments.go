@@ -6,7 +6,7 @@
 // Each experiment renders into a report.Doc — markdown byte-identical to
 // what cmd/lbreport historically produced, with every table additionally
 // captured for structured (JSON) consumption — and takes a context that
-// cancels its sweeps mid-grid (sweep.MapCtx semantics). Determinism:
+// cancels its sweeps mid-grid (sweep.Map semantics). Determinism:
 // with a live context, an experiment's output depends only on Options,
 // never on the worker count or goroutine scheduling.
 package experiments
@@ -210,7 +210,7 @@ func e1(ctx context.Context, d *report.Doc, opts Options) error {
 	}
 	tbl := report.NewTable("algorithm", "n", "winner steps", "bound ⌈log₄ n⌉", "t(R) max steps", "rounds", "spec", "lemma 5.1", "thm 6.1")
 	for _, mk := range algs {
-		results, err := lowerbound.SweepWakeupCtx(ctx, mk, wakeupNs(opts), machine.ZeroTosses, opts.Parallel)
+		results, err := lowerbound.SweepWakeup(ctx, mk, wakeupNs(opts), machine.ZeroTosses, opts.Parallel)
 		if err != nil {
 			return err
 		}
@@ -229,7 +229,7 @@ func e2(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d)
 	tbl := report.NewTable("n", "E[winner steps]", "min", "max", "E[t(R)]", "bound", "failed runs")
 	for _, nn := range wakeupNs(opts) {
-		res, err := lowerbound.ExpectedComplexityCtx(ctx,
+		res, err := lowerbound.ExpectedComplexity(ctx,
 			func(int) machine.Algorithm { return wakeup.DoubleRegister() },
 			nn, n, sweep.Seed("E2", "double-register", nn, 0), opts.Parallel)
 		if err != nil {
@@ -249,7 +249,7 @@ func e3(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d)
 	tbl := report.NewTable("type", "n", "k (ops/proc)", "winner steps", "per-op bound", "t(R)", "spec", "thm 6.1")
 	for _, spec := range wakeup.Reductions() {
-		results, err := lowerbound.SweepReductionCtx(ctx, spec, "group-update", reductionNs(opts), machine.ZeroTosses, opts.Parallel)
+		results, err := lowerbound.SweepReduction(ctx, spec, "group-update", reductionNs(opts), machine.ZeroTosses, opts.Parallel)
 		if err != nil {
 			return err
 		}
@@ -292,7 +292,7 @@ func e4e5(ctx context.Context, d *report.Doc, opts Options) error {
 		checked  int
 		l51, l52 error
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(items), func(i int) (row, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(items), func(i int) (row, error) {
 		it := items[i]
 		alg := mks[it.mkIdx].mk(it.n)
 		run, err := core.RunAll(alg, it.n, lowerbound.HashTosses(7), core.Config{})
@@ -300,7 +300,10 @@ func e4e5(ctx context.Context, d *report.Doc, opts Options) error {
 			return row{}, err
 		}
 		l51 := core.CheckLemma51(run)
-		checked, l52 := lowerbound.VerifyIndistinguishability(alg, it.n, lowerbound.HashTosses(7))
+		checked, l52 := lowerbound.VerifyIndistinguishability(ctx, alg, it.n, lowerbound.HashTosses(7), 1)
+		if err := ctx.Err(); err != nil {
+			return row{}, err // a cancelled replay is no Lemma 5.2 verdict
+		}
 		return row{alg.Name(), it.n, checked, l51, l52}, nil
 	})
 	if err != nil {
@@ -321,7 +324,7 @@ func e6(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d, "machine-checked together with the indistinguishability of the two runs.")
 	fmt.Fprintln(d)
 	ns := []int{8, 16, 64, 256}
-	catches, err := sweep.MapCtx(ctx, opts.Parallel, len(ns), func(i int) (*core.Catch, error) {
+	catches, err := sweep.Map(ctx, opts.Parallel, len(ns), func(i int) (*core.Catch, error) {
 		run, err := core.RunAll(wakeup.Cheater(), ns[i], machine.ZeroTosses, core.Config{})
 		if err != nil {
 			return nil, err
@@ -354,7 +357,7 @@ func e7e8(ctx context.Context, d *report.Doc, opts Options) error {
 		mk := func(n int) universal.Construction {
 			return universal.Must(universal.New(name, objtype.NewFetchIncrement(64), n, 0))
 		}
-		results, growth, err := lowerbound.SweepConstructionCtx(ctx, mk, lowerbound.FetchIncOp, ns, opts.Parallel)
+		results, growth, err := lowerbound.SweepConstruction(ctx, mk, lowerbound.FetchIncOp, ns, opts.Parallel)
 		if err != nil {
 			return err
 		}
@@ -387,7 +390,7 @@ func e9(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d, "Longest movers chain = how many processes one register can reveal.")
 	fmt.Fprintln(d)
 	ns := []int{8, 64, 512, 4096}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(ns), func(i int) ([]lowerbound.MoveScheduleResult, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(ns), func(i int) ([]lowerbound.MoveScheduleResult, error) {
 		n := ns[i]
 		return lowerbound.MoveScheduleComparison(n, sweep.Seed("E9", "move-schedule", n, 0)), nil
 	})
@@ -420,7 +423,7 @@ func e10(ctx context.Context, d *report.Doc, opts Options) error {
 			return objtype.Op{Name: objtype.OpFetchMultiply, Arg: objtype.HexUint(2)}
 		}},
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(cases), func(i int) (lowerbound.RMWResult, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(cases), func(i int) (lowerbound.RMWResult, error) {
 		return lowerbound.RMWUnitTime(cases[i].mkType(), 64, cases[i].op)
 	})
 	if err != nil {
@@ -440,7 +443,7 @@ func e11(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d, "closed-object construction of Chandra–Jayanti–Tan cited in Section 2,")
 	fmt.Fprintln(d, "and without the unbounded registers the oblivious O(log n) construction needs.")
 	fmt.Fprintln(d)
-	results, err := lowerbound.SweepWakeupCtx(ctx, wakeup.CountingNetwork, wakeupNs(opts), machine.ZeroTosses, opts.Parallel)
+	results, err := lowerbound.SweepWakeup(ctx, wakeup.CountingNetwork, wakeupNs(opts), machine.ZeroTosses, opts.Parallel)
 	if err != nil {
 		return err
 	}
@@ -464,7 +467,7 @@ func e12(ctx context.Context, d *report.Doc, opts Options) error {
 	if opts.Quick {
 		ns = []int{8, 16}
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(ns), func(i int) ([]lowerbound.WidthResult, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(ns), func(i int) ([]lowerbound.WidthResult, error) {
 		return lowerbound.RegisterWidthProfile(ns[i])
 	})
 	if err != nil {

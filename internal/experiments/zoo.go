@@ -128,7 +128,7 @@ func e13(ctx context.Context, d *report.Doc, opts Options) error {
 		total     int
 		attempts  int
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(items), func(i int) (row, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(items), func(i int) (row, error) {
 		it := items[i]
 		res, attempts, err := firstCompleteTAS("E13", it.name, it.n, func() sched.Scheduler { return &sched.RoundRobin{} })
 		if err != nil {
@@ -153,7 +153,7 @@ func e13(ctx context.Context, d *report.Doc, opts Options) error {
 	fmt.Fprintln(d, "Wakeup via one test&set per process (group-update-backed object), n = 2 —")
 	fmt.Fprintln(d, "the only n where the reduction's conditions hold:")
 	fmt.Fprintln(d)
-	results, err := lowerbound.SweepReductionCtx(ctx, wakeup.TASReduction(), "group-update", []int{2}, machine.ZeroTosses, opts.Parallel)
+	results, err := lowerbound.SweepReduction(ctx, wakeup.TASReduction(), "group-update", []int{2}, machine.ZeroTosses, opts.Parallel)
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func e14(ctx context.Context, d *report.Doc, opts Options) error {
 		unfinished int
 		oneWinner  bool
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(items), func(i int) (row, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(items), func(i int) (row, error) {
 		it := items[i]
 		var winnerSteps, maxSteps []float64
 		unfinished, oneWinner := 0, true
@@ -311,7 +311,7 @@ func e15(ctx context.Context, d *report.Doc, opts Options) error {
 		returns, steps, fprints bool
 		err                     error
 	}
-	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(items), func(i int) (row, error) {
+	rows, err := sweep.Map(ctx, opts.Parallel, len(items), func(i int) (row, error) {
 		it := items[i]
 		resA, memA, err := it.run(func(n int) fpMemory { return llsc.New(n) })
 		if err != nil {

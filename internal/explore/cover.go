@@ -59,7 +59,7 @@ func (r *runner) stateDigest(buf *[]byte) uint64 {
 // RunSchedule contract), then enabled processes are stepped uniformly at
 // random until every process terminates, the run fails, or the budget is
 // exhausted. A nil or empty prefix is a pure random walk — exactly the
-// runs Fuzz samples.
+// runs FuzzCtx samples.
 //
 // Coin tosses are drawn uniformly from [0, tossRange) (tossRange <= 0
 // means 2) from an RNG derived from seed, and the schedule RNG is seeded

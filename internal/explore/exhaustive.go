@@ -56,6 +56,11 @@ type exhaustiveWorker struct {
 //
 // Exhaustive requires a deterministic toss assignment (it explores
 // schedules, not coin flips): cfg.Tosses must be nil or pure.
+//
+// Exhaustive is ExhaustiveCtx with a background context. It keeps this
+// name and signature because the repository benchmark (perfbench/, a
+// separate module whose files stay fixed between benchmark revisions)
+// calls it; everything else uses ExhaustiveCtx.
 func Exhaustive(cfg Config, workers int) (*Report, error) {
 	return ExhaustiveCtx(context.Background(), cfg, workers)
 }
@@ -98,7 +103,7 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 		failure                           *Failure
 		record                            *RunRecord
 	}
-	results, err := sweep.MapCtx(ctx, workers, len(branches), func(i int) (branchResult, error) {
+	results, err := sweep.Map(ctx, workers, len(branches), func(i int) (branchResult, error) {
 		w := &exhaustiveWorker{ctx: ctx, cfg: cfg, visited: make(map[string]bool)}
 		f, rec, err := w.dfs([]int{branches[i]})
 		if err != nil {

@@ -25,14 +25,14 @@
 //     two prefixes that agree on machines and memory can still admit
 //     different real-time orders, and the config set captures exactly that
 //     residue.
-//   - Fuzz samples random schedules (and coin tosses) for sizes where
+//   - FuzzCtx samples random schedules (and coin tosses) for sizes where
 //     exhaustive search is infeasible, with per-sample seeds derived via
 //     sweep.Derive so every sample is reproducible in isolation.
 //   - RunSchedule replays one explicit schedule; Replay files (replay.go)
 //     persist a failing schedule plus its toss assignment so a failure
 //     reproduces bit-for-bit later.
 //
-// Failures are minimized by Shrink (shrink.go) before being persisted.
+// Failures are minimized by ShrinkCtx (shrink.go) before being persisted.
 package explore
 
 import (
@@ -293,7 +293,7 @@ type RunRecord struct {
 }
 
 // runner drives one run step by step. It is the single-goroutine engine
-// that Exhaustive, Fuzz, RunSchedule and Shrink all share.
+// that ExhaustiveCtx, FuzzCtx, RunSchedule and ShrinkCtx all share.
 type runner struct {
 	cfg    Config
 	budget int

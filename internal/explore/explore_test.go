@@ -115,7 +115,7 @@ func TestBudgetExhaustionIsAFailure(t *testing.T) {
 func TestShrinkMinimizesBudgetFailure(t *testing.T) {
 	cfg := Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 2}
 	long := []int{1, 0, 1, 0, 1, 0, 1, 0, 1, 0}
-	shrunk := Shrink(cfg, long, FailBudgetExhausted)
+	shrunk := ShrinkCtx(context.Background(), cfg, long, FailBudgetExhausted)
 	// The failure fires on the first step attempted past the budget, so
 	// the minimal schedule has budget+1 = 3 entries.
 	if len(shrunk) != 3 {
@@ -139,13 +139,13 @@ func TestShrinkMinimizesBudgetFailure(t *testing.T) {
 func TestShrinkReturnsInputWhenNotReproducible(t *testing.T) {
 	cfg := Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1}
 	in := []int{0, 1, 0, 1}
-	if got := Shrink(cfg, in, FailNonLinearizable); !reflect.DeepEqual(got, in) {
+	if got := ShrinkCtx(context.Background(), cfg, in, FailNonLinearizable); !reflect.DeepEqual(got, in) {
 		t.Fatalf("want input back, got %v", got)
 	}
 }
 
 func TestFuzzCleanOnCorrectConstruction(t *testing.T) {
-	rep, err := Fuzz(Config{Alg: "central", Object: "fetch-increment", N: 4, OpsPerProc: 2},
+	rep, err := FuzzCtx(context.Background(), Config{Alg: "central", Object: "fetch-increment", N: 4, OpsPerProc: 2},
 		FuzzOptions{Samples: 30, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +163,11 @@ func TestFuzzCleanOnCorrectConstruction(t *testing.T) {
 // count or scheduling.
 func TestFuzzDeterministicAcrossWorkers(t *testing.T) {
 	cfg := Config{Alg: "group-update", Object: "queue", N: 3, OpsPerProc: 2}
-	a, err := Fuzz(cfg, FuzzOptions{Samples: 20, Seed: 7, Workers: 1})
+	a, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 20, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fuzz(cfg, FuzzOptions{Samples: 20, Seed: 7, Workers: 8})
+	b, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 20, Seed: 7, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReplayRoundTripAndVerify(t *testing.T) {
 	// read -> bit-for-bit verify.
 	cfg := Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 2}
 	dir := t.TempDir()
-	rep, err := Fuzz(cfg, FuzzOptions{Samples: 1, Seed: 5, OutDir: dir})
+	rep, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 1, Seed: 5, OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

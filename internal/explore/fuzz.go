@@ -53,19 +53,14 @@ type FuzzReport struct {
 	Paths []string
 }
 
-// Fuzz runs random schedules of cfg: at every step an enabled process is
-// picked uniformly, and coin tosses are drawn uniformly from
-// [0, TossRange). Every failing sample is minimized with Shrink and
+// FuzzCtx runs random schedules of cfg: at every step an enabled process
+// is picked uniformly, and coin tosses are drawn uniformly from
+// [0, TossRange). Every failing sample is minimized with ShrinkCtx and
 // converted into a self-contained Replay; with OutDir set, replays are
-// also persisted as JSON files (see ReadReplay / Verify).
-func Fuzz(cfg Config, opt FuzzOptions) (*FuzzReport, error) {
-	return FuzzCtx(context.Background(), cfg, opt)
-}
-
-// FuzzCtx is Fuzz under a context: once ctx is done no further samples are
-// dispatched and the campaign returns ctx.Err() (sweep.MapCtx semantics);
-// no report — and in particular no replay file — is produced for a
-// cancelled campaign.
+// also persisted as JSON files (see ReadReplay / Verify). Once ctx is done
+// no further samples are dispatched and the campaign returns ctx.Err()
+// (sweep.Map semantics); no report — and in particular no replay file —
+// is produced for a cancelled campaign.
 func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, error) {
 	if opt.Samples < 1 {
 		return nil, fmt.Errorf("explore: fuzz needs at least 1 sample, got %d", opt.Samples)
@@ -86,7 +81,7 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 	if opt.Offset < 0 {
 		return nil, fmt.Errorf("explore: fuzz sample offset %d negative", opt.Offset)
 	}
-	results, err := sweep.MapCtx(ctx, opt.Workers, opt.Samples, func(item int) (sampleResult, error) {
+	results, err := sweep.Map(ctx, opt.Workers, opt.Samples, func(item int) (sampleResult, error) {
 		i := opt.Offset + item // global sample index in the Seed's stream
 		seed := sweep.Derive(opt.Seed, i)
 		rec, err := fuzzOne(cfg, seed, tossRange)

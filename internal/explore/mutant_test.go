@@ -3,6 +3,7 @@
 package explore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestMutantCaughtByExhaustive(t *testing.T) {
 func TestMutantFuzzShrinkAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Alg: BrokenGroupUpdate, Object: "fetch-increment", N: 2, OpsPerProc: 1}
-	rep, err := Fuzz(cfg, FuzzOptions{Samples: 200, Seed: 1, OutDir: dir})
+	rep, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 200, Seed: 1, OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func algosHasBrokenTV() bool {
 func TestTASMutantFuzzShrinkAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Alg: algos.BrokenTV, Object: "tas", N: 2, OpsPerProc: 1}
-	rep, err := Fuzz(cfg, FuzzOptions{Samples: 200, Seed: 1, OutDir: dir})
+	rep, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 200, Seed: 1, OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

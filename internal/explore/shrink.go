@@ -2,9 +2,9 @@ package explore
 
 import "context"
 
-// Shrink minimizes a failing schedule: it returns a (usually much shorter)
-// schedule that still produces a failure of the same kind under cfg. Two
-// passes alternate until a fixpoint:
+// ShrinkCtx minimizes a failing schedule: it returns a (usually much
+// shorter) schedule that still produces a failure of the same kind under
+// cfg. Two passes alternate until a fixpoint:
 //
 //   - chunk deletion (ddmin-style): contiguous chunks of halving sizes are
 //     deleted greedily as long as the failure survives;
@@ -18,16 +18,13 @@ import "context"
 // the whole loop terminates. cfg must make the run deterministic (replay
 // tosses, not random ones); RunSchedule's skip-disabled semantics keep
 // every candidate well-formed.
-func Shrink(cfg Config, schedule []int, kind FailureKind) []int {
-	return ShrinkCtx(context.Background(), cfg, schedule, kind)
-}
-
-// ShrinkCtx is Shrink under a context: cancellation is checked between
-// candidate runs, and on ctx done the best schedule found so far is
-// returned immediately. Every returned schedule — cancelled or not — still
-// fails with the requested kind (or is the untouched input when the input
-// itself does not reproduce), so callers under a deadline always hold a
-// valid counterexample, just possibly a longer one.
+//
+// Cancellation is checked between candidate runs, and on ctx done the
+// best schedule found so far is returned immediately. Every returned
+// schedule — cancelled or not — still fails with the requested kind (or
+// is the untouched input when the input itself does not reproduce), so
+// callers under a deadline always hold a valid counterexample, just
+// possibly a longer one.
 func ShrinkCtx(ctx context.Context, cfg Config, schedule []int, kind FailureKind) []int {
 	cancelled := func() bool {
 		select {

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,7 +206,7 @@ func TestTASFuzzClean(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Alg, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Fuzz(cfg, FuzzOptions{Samples: 200, Seed: 7})
+			rep, err := FuzzCtx(context.Background(), cfg, FuzzOptions{Samples: 200, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

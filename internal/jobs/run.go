@@ -33,7 +33,8 @@ type ConstructionSweep struct {
 	Construction string                          `json:"construction"`
 	Growth       string                          `json:"growth"`
 	Results      []lowerbound.ConstructionResult `json:"results"`
-	// Table is the same rendering cmd/unisweep prints.
+	// Table renders Results: n, forced steps/op, documented bound, and
+	// the Ω(⌈log₄ n⌉) lower bound.
 	Table *report.Table `json:"table"`
 }
 
@@ -147,7 +148,7 @@ func runSweep(ctx context.Context, spec *SweepSpec, p *Progress, parallel int) (
 		mk := func(n int) universal.Construction {
 			return universal.Must(universal.New(name, st.New(n), n, 0))
 		}
-		results, _, err := lowerbound.SweepConstructionCtx(sctx, mk, st.Op, ns, parallel)
+		results, _, err := lowerbound.SweepConstruction(sctx, mk, st.Op, ns, parallel)
 		span.End()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)

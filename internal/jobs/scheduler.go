@@ -913,6 +913,11 @@ func (s *Scheduler) runJob(j *job) {
 
 	j.progress.Set(string(status), 0, 0)
 	j.progress.Close()
+	if status == StatusDone {
+		// Before close(j.done): a caller that waited for the job reads
+		// its phase latencies next.
+		s.recordPhases(j)
+	}
 	close(j.done)
 
 	s.mu.Lock()
@@ -950,10 +955,6 @@ func (s *Scheduler) runJob(j *job) {
 		logLine.Error("job finished", "error", errMsg)
 	} else {
 		logLine.Info("job finished")
-	}
-
-	if status == StatusDone {
-		s.recordPhases(j)
 	}
 }
 

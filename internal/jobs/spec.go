@@ -17,7 +17,6 @@ package jobs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -72,7 +71,9 @@ type ReportSpec struct {
 }
 
 // SweepSpec sweeps universal constructions over doubling process counts
-// on one object workload (cmd/unisweep as a job).
+// on one object workload: the E7/E8 tightness sweep
+// (lowerbound.SweepConstruction) over any registered construction and
+// sweep type.
 type SweepSpec struct {
 	// Type is the object workload: one of lowerbound.SweepTypes().
 	Type string `json:"type"`
@@ -352,35 +353,15 @@ func (s *Spec) Validate() error {
 	}
 }
 
-// Canonical returns the spec's canonical encoding: the normalized spec
-// marshalled to JSON and re-serialized through a generic value, so object
-// keys are sorted and the bytes are independent of struct field order.
-// The spec must already be normalized (ID and the scheduler do this).
-func (s *Spec) Canonical() ([]byte, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
-	}
-	out, err := json.Marshal(v) // map keys sort
-	if err != nil {
-		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
-	}
-	return out, nil
-}
-
 // ID normalizes and validates the spec and returns its content hash — the
-// lowercase hex SHA-256 of the canonical encoding — which is the job ID
-// and the cache key.
+// lowercase hex SHA-256 of the normalized spec's campaign.CanonicalJSON
+// encoding — which is the job ID and the cache key.
 func (s *Spec) ID() (string, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	canon, err := s.Canonical()
+	canon, err := campaign.CanonicalJSON(s)
 	if err != nil {
 		return "", err
 	}

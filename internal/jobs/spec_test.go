@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"jayanti98/internal/campaign"
 )
 
 // mustID hashes the spec or fails the test.
@@ -195,5 +197,52 @@ func TestSpecValidateRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSpecIDExactFor63BitSeeds: specs whose int64 seeds lie above 2^53
+// and differ only in their low bits are different jobs. A canonical
+// encoding that rounds numbers through float64 gives them one ID, and
+// the cache would then serve one spec's result for the other.
+func TestSpecIDExactFor63BitSeeds(t *testing.T) {
+	const seed = int64(1)<<62 + 1
+	fuzz := func(seed int64) *Spec {
+		return &Spec{Kind: KindExplore, Explore: &ExploreSpec{Mode: "fuzz", Samples: 8, Seed: seed}}
+	}
+	round := func(seed int64) *Spec {
+		return &Spec{Kind: KindCampaignRound, CampaignRound: &campaign.RoundSpec{
+			Campaign: campaign.Spec{Seed: seed, MaxRounds: 2},
+		}}
+	}
+	for name, mk := range map[string]func(int64) *Spec{"fuzz": fuzz, "campaign round": round} {
+		if a, b := mustID(t, mk(seed)), mustID(t, mk(seed+1)); a == b {
+			t.Errorf("%s: seeds %d and %d share job ID %s", name, seed, seed+1, a)
+		}
+	}
+}
+
+// TestSpecIDPinned pins the job IDs of existing specs (every seed below
+// 2^53), so a change to the canonical encoding cannot orphan cached
+// results or journal records written by earlier versions.
+func TestSpecIDPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		spec *Spec
+		want string
+	}{
+		{"report", &Spec{Kind: KindReport, Report: &ReportSpec{Experiments: []string{"E7/E8", "E1"}, Quick: true}}, "c2d4ace4625ceec30b0ebdee2c5ffd83c4d54a1210e55894b5cc922ff3d0c81a"},
+		{"sweep", &Spec{Kind: KindSweep, Sweep: &SweepSpec{Type: "fetch&increment", MaxN: 16}}, "db83fc3d33e2693a5b0cc918ae8eda74047134ac33c60117e9b2719ea3a732d9"},
+		{"explore", &Spec{Kind: KindExplore, Explore: &ExploreSpec{Alg: "central", N: 3, Mode: "exhaustive"}}, "05a7797b09ad2b3f876433b89eeea1983c38cb557bc94f1b3254d6bc95cfec55"},
+		{"fuzz", &Spec{Kind: KindExplore, Explore: &ExploreSpec{Alg: "herlihy", Samples: 64, Seed: 1<<52 + 7}}, "881896bd1cdd4b1390a9b49f4e08d76f525c03247b1885fe4a83be542f885e14"},
+		{"campaign round", &Spec{Kind: KindCampaignRound, CampaignRound: &campaign.RoundSpec{
+			Campaign: campaign.Spec{Seed: 42, TossRange: 4, BatchSize: 16, MaxRounds: 3},
+			Round:    2,
+			Corpus:   [][]int{{0, 1, 1}, {1, 0}},
+		}}, "4513bf611a586d310e35619ca07d077eddd2e78e8e0a928638b067ae88536baa"},
+	}
+	for _, c := range cases {
+		if got := mustID(t, c.spec); got != c.want {
+			t.Errorf("%s: ID = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package llsc
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"jayanti98/internal/shmem"
 )
@@ -78,9 +77,9 @@ func ParseBackend(s string) (BackendKind, error) {
 	}
 }
 
-// defaultBackend is the process-wide backend, stored atomically so tests
-// can flip it around sections without racing other goroutines' reads.
-var defaultBackend atomic.Int32
+// defaultBackend is the process-wide backend. It is written only by init,
+// so later reads need no synchronization.
+var defaultBackend BackendKind
 
 func init() {
 	if s := os.Getenv("LB_LLSC"); s != "" {
@@ -89,20 +88,11 @@ func init() {
 			fmt.Fprintf(os.Stderr, "llsc: ignoring LB_LLSC: %v\n", err)
 			return
 		}
-		defaultBackend.Store(int32(k))
+		defaultBackend = k
 	}
 }
 
 // DefaultBackend returns the process-wide default backend. It starts as
 // BackendNative, overridable by the LB_LLSC environment variable
 // (native, bw).
-func DefaultBackend() BackendKind { return BackendKind(defaultBackend.Load()) }
-
-// SetDefaultBackend sets the process-wide default backend and returns the
-// previous value, for defer-restore in tests:
-//
-//	prev := llsc.SetDefaultBackend(llsc.BackendBW)
-//	defer llsc.SetDefaultBackend(prev)
-func SetDefaultBackend(k BackendKind) (prev BackendKind) {
-	return BackendKind(defaultBackend.Swap(int32(k)))
-}
+func DefaultBackend() BackendKind { return defaultBackend }

@@ -16,14 +16,23 @@
 //	E8  SweepConstruction (herlihy)       — baseline: Θ(n)
 //	E9  MoveScheduleComparison            — Section 4 motivation
 //	E10 RMWUnitTime                       — Section 7 observation
+//	E11 SweepWakeup (counting network)    — O(log n)-bit register wakeup
+//	E12 RegisterWidthProfile              — §7: tightness needs wide registers
+//	E13 SweepReduction (test&set, n=2)    — the zoo's TAS reduction
 //
-// Every sweep has a *Parallel variant that fans its grid out over worker
-// goroutines through the engine in package sweep. The parallel variants
-// return byte-identical results at every parallelism level: each grid
-// point owns its algorithm, construction, memory, and (for randomized
-// sweeps) an RNG seed derived from its coordinates, and results are
-// collected in index order behind a barrier. The plain functions are the
-// parallel ones at parallelism 1.
+// The report pipeline (cmd/lbreport, internal/experiments) renders these
+// as the E1–E15 sections; the job service's sweep kind runs
+// SweepConstruction over any construction and sweep type (SweepTypeFor).
+//
+// Every sweep has one entry point, taking a context first and a
+// parallelism last: it fans its grid out over up to `parallel` worker
+// goroutines through the engine in package sweep (≤ 0 means one per CPU,
+// 1 is the serial loop). Results are byte-identical at every parallelism
+// level: each grid point owns its algorithm, construction, memory, and
+// (for randomized sweeps) an RNG seed derived from its coordinates, and
+// results are collected in index order behind a barrier. Cancelling the
+// context stops dispatching grid points and returns ctx.Err() with the
+// completed prefix (sweep.Map semantics).
 package lowerbound
 
 import (
@@ -140,9 +149,8 @@ func MeasureWakeup(alg machine.Algorithm, n int, ta machine.TossAssignment) (Wak
 		Theorem61Err: core.VerifyTheorem61(run),
 	}
 	res.MaxSteps, _ = run.MaxSteps()
-	for pid, steps := range run.Steps {
+	for _, steps := range run.Steps {
 		res.TotalSteps += steps
-		_ = pid
 	}
 	winners := core.WakeupWinners(run.Returns)
 	res.WinnerSteps = -1
@@ -154,26 +162,13 @@ func MeasureWakeup(alg machine.Algorithm, n int, ta machine.TossAssignment) (Wak
 	return res, nil
 }
 
-// SweepWakeup measures mk(n) for each n in ns (E1/E3 sweeps).
-func SweepWakeup(mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment) ([]WakeupResult, error) {
-	return SweepWakeupParallel(mk, ns, ta, 1)
-}
-
-// SweepWakeupParallel is SweepWakeup fanned out over up to `parallel`
-// worker goroutines (≤ 0 means one per CPU). Each grid point builds its
-// own algorithm instance via mk and runs against its own simulated memory,
-// so work items share nothing; results come back in ns order and are
-// identical to the serial sweep at every parallelism level. ta must be a
-// pure function of (pid, j), as HashTosses and machine.ZeroTosses are.
-func SweepWakeupParallel(mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment, parallel int) ([]WakeupResult, error) {
-	return SweepWakeupCtx(context.Background(), mk, ns, ta, parallel)
-}
-
-// SweepWakeupCtx is SweepWakeupParallel under a context: cancellation
-// stops dispatching grid points and returns ctx.Err() with the completed
-// prefix (sweep.MapCtx semantics).
-func SweepWakeupCtx(ctx context.Context, mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment, parallel int) ([]WakeupResult, error) {
-	return sweep.MapCtx(ctx, parallel, len(ns), func(i int) (WakeupResult, error) {
+// SweepWakeup measures mk(n) for each n in ns (E1/E11 sweeps). Each grid
+// point builds its own algorithm instance via mk and runs against its own
+// simulated memory, so work items share nothing; results come back in ns
+// order. ta must be a pure function of (pid, j), as HashTosses and
+// machine.ZeroTosses are.
+func SweepWakeup(ctx context.Context, mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment, parallel int) ([]WakeupResult, error) {
+	return sweep.Map(ctx, parallel, len(ns), func(i int) (WakeupResult, error) {
 		return MeasureWakeup(mk(ns[i]), ns[i], ta)
 	})
 }
@@ -196,24 +191,12 @@ type ExpectedResult struct {
 }
 
 // ExpectedComplexity estimates the expected complexity of mk(n) over
-// `samples` pseudo-random toss assignments derived from seed.
-func ExpectedComplexity(mk func(n int) machine.Algorithm, n, samples int, seed int64) (ExpectedResult, error) {
-	return ExpectedComplexityParallel(mk, n, samples, seed, 1)
-}
-
-// ExpectedComplexityParallel is ExpectedComplexity with the Monte-Carlo
-// samples fanned out over up to `parallel` workers (≤ 0 means one per
-// CPU). Sample i's toss assignment is seeded with sweep.Derive(seed, i) —
-// a pure function of (seed, i) — so every sample sees the same randomness
-// at every parallelism level and the estimate is byte-for-byte
-// reproducible.
-func ExpectedComplexityParallel(mk func(n int) machine.Algorithm, n, samples int, seed int64, parallel int) (ExpectedResult, error) {
-	return ExpectedComplexityCtx(context.Background(), mk, n, samples, seed, parallel)
-}
-
-// ExpectedComplexityCtx is ExpectedComplexityParallel under a context:
-// cancellation abandons the Monte-Carlo estimate and returns ctx.Err().
-func ExpectedComplexityCtx(ctx context.Context, mk func(n int) machine.Algorithm, n, samples int, seed int64, parallel int) (ExpectedResult, error) {
+// `samples` pseudo-random toss assignments derived from seed. Sample i's
+// toss assignment is seeded with sweep.Derive(seed, i) — a pure function
+// of (seed, i) — so every sample sees the same randomness at every
+// parallelism level and the estimate is byte-for-byte reproducible.
+// Cancellation abandons the estimate and returns ctx.Err().
+func ExpectedComplexity(ctx context.Context, mk func(n int) machine.Algorithm, n, samples int, seed int64, parallel int) (ExpectedResult, error) {
 	res := ExpectedResult{
 		Algorithm: mk(n).Name(),
 		N:         n,
@@ -224,7 +207,7 @@ func ExpectedComplexityCtx(ctx context.Context, mk func(n int) machine.Algorithm
 		winner, max float64
 		ok          bool
 	}
-	out, err := sweep.MapCtx(ctx, parallel, samples, func(i int) (sample, error) {
+	out, err := sweep.Map(ctx, parallel, samples, func(i int) (sample, error) {
 		r, err := MeasureWakeup(mk(n), n, HashTosses(sweep.Derive(seed, i)))
 		if err != nil {
 			return sample{}, err
@@ -251,30 +234,18 @@ func ExpectedComplexityCtx(ctx context.Context, mk func(n int) machine.Algorithm
 // VerifyIndistinguishability checks Lemma 5.2 (E5) on one adversary run:
 // for every process p, with S = UP(p, steps(p)), the (S,A)-run is
 // indistinguishable from the (All,A)-run. Returns the number of subsets
-// checked and the first violation, if any.
-func VerifyIndistinguishability(alg machine.Algorithm, n int, ta machine.TossAssignment) (int, error) {
-	return VerifyIndistinguishabilityParallel(alg, n, ta, 1)
-}
-
-// VerifyIndistinguishabilityParallel is VerifyIndistinguishability with
-// the per-process (S,A)-run replays fanned out over up to `parallel`
-// workers (≤ 0 means one per CPU). The replays only read the shared
-// (All,A)-run (each builds its own memory and machines), so they are
-// independent; the checked count and first violation match the serial
-// pid-order scan.
-func VerifyIndistinguishabilityParallel(alg machine.Algorithm, n int, ta machine.TossAssignment, parallel int) (int, error) {
-	return VerifyIndistinguishabilityCtx(context.Background(), alg, n, ta, parallel)
-}
-
-// VerifyIndistinguishabilityCtx is VerifyIndistinguishabilityParallel
-// under a context: cancellation stops dispatching per-process replays and
-// returns the count of subsets checked so far with ctx.Err().
-func VerifyIndistinguishabilityCtx(ctx context.Context, alg machine.Algorithm, n int, ta machine.TossAssignment, parallel int) (int, error) {
+// checked and the first violation, if any. The per-process (S,A)-run
+// replays only read the shared (All,A)-run (each builds its own memory
+// and machines), so they fan out over `parallel` workers and the checked
+// count and first violation match the serial pid-order scan. Cancellation
+// stops dispatching replays and returns the count checked so far with
+// ctx.Err().
+func VerifyIndistinguishability(ctx context.Context, alg machine.Algorithm, n int, ta machine.TossAssignment, parallel int) (int, error) {
 	run, err := core.RunAll(alg, n, ta, core.Config{})
 	if err != nil {
 		return 0, err
 	}
-	out, err := sweep.MapCtx(ctx, parallel, n, func(pid int) (struct{}, error) {
+	out, err := sweep.Map(ctx, parallel, n, func(pid int) (struct{}, error) {
 		s := run.UPProcAt(pid, run.Steps[pid]).Clone()
 		sub, err := core.RunSub(run, s)
 		if err != nil {
@@ -326,21 +297,10 @@ type ReductionResult struct {
 }
 
 // SweepReduction measures one reduction over a construction for each n.
-func SweepReduction(spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment) ([]ReductionResult, error) {
-	return SweepReductionParallel(spec, construction, ns, ta, 1)
-}
-
-// SweepReductionParallel is SweepReduction fanned out over up to
-// `parallel` workers (≤ 0 means one per CPU). Every grid point builds its
-// own construction instance (fresh registers), so items share nothing.
-func SweepReductionParallel(spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment, parallel int) ([]ReductionResult, error) {
-	return SweepReductionCtx(context.Background(), spec, construction, ns, ta, parallel)
-}
-
-// SweepReductionCtx is SweepReductionParallel under a context
-// (sweep.MapCtx semantics on cancellation).
-func SweepReductionCtx(ctx context.Context, spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment, parallel int) ([]ReductionResult, error) {
-	return sweep.MapCtx(ctx, parallel, len(ns), func(i int) (ReductionResult, error) {
+// Every grid point builds its own construction instance (fresh
+// registers), so items share nothing.
+func SweepReduction(ctx context.Context, spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment, parallel int) ([]ReductionResult, error) {
+	return sweep.Map(ctx, parallel, len(ns), func(i int) (ReductionResult, error) {
 		n := ns[i]
 		alg, obj, err := BuildReduction(spec, construction, n)
 		if err != nil {
@@ -399,26 +359,14 @@ func MeasureConstruction(mk func(n int) universal.Construction, op func(n, pid i
 	}, nil
 }
 
-// SweepConstruction measures the construction across ns and classifies the
-// growth of its forced cost.
-func SweepConstruction(mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int) ([]ConstructionResult, stats.Growth, error) {
-	return SweepConstructionParallel(mk, op, ns, 1)
-}
-
-// SweepConstructionParallel is SweepConstruction fanned out over up to
-// `parallel` workers (≤ 0 means one per CPU). mk is invoked once per grid
+// SweepConstruction measures the construction across ns (E7/E8) and
+// classifies the growth of its forced cost. mk is invoked once per grid
 // point inside its work item, so each measurement owns its construction
-// and simulated memory; the growth fit happens after the barrier, over the
-// index-ordered results.
-func SweepConstructionParallel(mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int, parallel int) ([]ConstructionResult, stats.Growth, error) {
-	return SweepConstructionCtx(context.Background(), mk, op, ns, parallel)
-}
-
-// SweepConstructionCtx is SweepConstructionParallel under a context: on
-// cancellation the partial results come back with ctx.Err() and an empty
-// growth classification.
-func SweepConstructionCtx(ctx context.Context, mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int, parallel int) ([]ConstructionResult, stats.Growth, error) {
-	out, err := sweep.MapCtx(ctx, parallel, len(ns), func(i int) (ConstructionResult, error) {
+// and simulated memory; the growth fit happens after the barrier, over
+// the index-ordered results. On cancellation the partial results come
+// back with ctx.Err() and an empty growth classification.
+func SweepConstruction(ctx context.Context, mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int, parallel int) ([]ConstructionResult, stats.Growth, error) {
+	out, err := sweep.Map(ctx, parallel, len(ns), func(i int) (ConstructionResult, error) {
 		return MeasureConstruction(mk, op, ns[i])
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package lowerbound
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,6 +15,9 @@ import (
 	"jayanti98/internal/universal"
 	"jayanti98/internal/wakeup"
 )
+
+// bg is the live context of every uncancelled sweep in these tests.
+var bg = context.Background()
 
 // correctWakeupAlgorithms is every correct wakeup algorithm in the repo —
 // the grid the race sweep and the determinism tests cover.
@@ -37,12 +42,12 @@ func correctWakeupAlgorithms() []struct {
 func TestSweepWakeupParallelMatchesSerial(t *testing.T) {
 	ns := []int{2, 4, 8, 16}
 	for _, alg := range correctWakeupAlgorithms() {
-		serial, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, 1)
+		serial, err := SweepWakeup(bg, alg.mk, ns, machine.ZeroTosses, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
 		for _, parallel := range []int{4, 16} {
-			par, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, parallel)
+			par, err := SweepWakeup(bg, alg.mk, ns, machine.ZeroTosses, parallel)
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", alg.name, parallel, err)
 			}
@@ -60,7 +65,7 @@ func TestSweepWakeupParallelMatchesSerial(t *testing.T) {
 func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 	ns := []int{2, 4, 8}
 	for _, alg := range correctWakeupAlgorithms() {
-		results, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, 4)
+		results, err := SweepWakeup(bg, alg.mk, ns, machine.ZeroTosses, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
@@ -71,10 +76,10 @@ func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 		}
 	}
 	specs := wakeup.Reductions()
-	if _, err := SweepReductionParallel(specs[0], "group-update", ns, machine.ZeroTosses, 4); err != nil {
+	if _, err := SweepReduction(bg, specs[0], "group-update", ns, machine.ZeroTosses, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExpectedComplexityParallel(func(int) machine.Algorithm { return wakeup.DoubleRegister() },
+	if _, err := ExpectedComplexity(bg, func(int) machine.Algorithm { return wakeup.DoubleRegister() },
 		8, 12, sweep.Seed("race", "double-register", 8, 0), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +89,16 @@ func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 // must not depend on how samples are scheduled over workers.
 func TestExpectedComplexityParallelMatchesSerial(t *testing.T) {
 	mk := func(int) machine.Algorithm { return wakeup.DoubleRegister() }
-	serial, err := ExpectedComplexityParallel(mk, 16, 20, 7, 1)
+	serial, err := ExpectedComplexity(bg, mk, 16, 20, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExpectedComplexityParallel(mk, 16, 20, 7, 8)
+	par, err := ExpectedComplexity(bg, mk, 16, 20, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel estimate diverged:\nserial   %+v\nparallel %+v", serial, par)
-	}
-	// And the serial wrapper is the parallel path at 1 worker.
-	wrapped, err := ExpectedComplexity(mk, 16, 20, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wrapped) {
-		t.Fatal("ExpectedComplexity must equal its parallelism-1 form")
 	}
 }
 
@@ -109,8 +106,8 @@ func TestExpectedComplexityParallelMatchesSerial(t *testing.T) {
 // per-process (S,A)-replays of E5.
 func TestVerifyIndistinguishabilityParallelMatchesSerial(t *testing.T) {
 	for _, alg := range []machine.Algorithm{wakeup.SetRegister(), wakeup.MoveCourier()} {
-		serial, serialErr := VerifyIndistinguishabilityParallel(alg, 8, machine.ZeroTosses, 1)
-		par, parErr := VerifyIndistinguishabilityParallel(alg, 8, machine.ZeroTosses, 4)
+		serial, serialErr := VerifyIndistinguishability(bg, alg, 8, machine.ZeroTosses, 1)
+		par, parErr := VerifyIndistinguishability(bg, alg, 8, machine.ZeroTosses, 4)
 		if (serialErr == nil) != (parErr == nil) {
 			t.Fatalf("%s: error mismatch: %v vs %v", alg.Name(), serialErr, parErr)
 		}
@@ -185,7 +182,7 @@ func TestMeasureWakeupSetRegister(t *testing.T) {
 
 func TestSweepWakeupBoundsHold(t *testing.T) {
 	ns := []int{2, 4, 8, 16, 32, 64}
-	results, err := SweepWakeup(func(n int) machine.Algorithm { return wakeup.SetRegister() }, ns, machine.ZeroTosses)
+	results, err := SweepWakeup(bg, func(n int) machine.Algorithm { return wakeup.SetRegister() }, ns, machine.ZeroTosses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +200,7 @@ func TestSweepWakeupBoundsHold(t *testing.T) {
 }
 
 func TestExpectedComplexityRandomized(t *testing.T) {
-	res, err := ExpectedComplexity(func(n int) machine.Algorithm { return wakeup.DoubleRegister() }, 16, 25, 7)
+	res, err := ExpectedComplexity(bg, func(n int) machine.Algorithm { return wakeup.DoubleRegister() }, 16, 25, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +218,7 @@ func TestExpectedComplexityRandomized(t *testing.T) {
 func TestVerifyIndistinguishabilityAcrossAlgorithms(t *testing.T) {
 	algs := []machine.Algorithm{wakeup.SetRegister(), wakeup.MoveCourier()}
 	for _, alg := range algs {
-		checked, err := VerifyIndistinguishability(alg, 8, machine.ZeroTosses)
+		checked, err := VerifyIndistinguishability(bg, alg, 8, machine.ZeroTosses, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -245,7 +242,7 @@ func TestSweepReductionFetchIncrement(t *testing.T) {
 			spec = s
 		}
 	}
-	results, err := SweepReduction(spec, "group-update", []int{2, 4, 8, 16}, machine.ZeroTosses)
+	results, err := SweepReduction(bg, spec, "group-update", []int{2, 4, 8, 16}, machine.ZeroTosses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func TestAllReductionsOverGroupUpdateSmall(t *testing.T) {
 	for _, spec := range wakeup.Reductions() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			results, err := SweepReduction(spec, "group-update", []int{4, 8}, machine.ZeroTosses)
+			results, err := SweepReduction(bg, spec, "group-update", []int{4, 8}, machine.ZeroTosses, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,9 +280,9 @@ func TestSweepConstructionShapes(t *testing.T) {
 	ns := []int{2, 4, 8, 16, 32, 64, 128}
 	typ := func(n int) objtype.Type { return objtype.NewFetchIncrement(16) }
 
-	gu, guGrowth, err := SweepConstruction(
+	gu, guGrowth, err := SweepConstruction(bg,
 		func(n int) universal.Construction { return universal.NewGroupUpdate(typ(n), n, 0) },
-		FetchIncOp, ns)
+		FetchIncOp, ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +298,9 @@ func TestSweepConstructionShapes(t *testing.T) {
 		}
 	}
 
-	he, heGrowth, err := SweepConstruction(
+	he, heGrowth, err := SweepConstruction(bg,
 		func(n int) universal.Construction { return universal.NewHerlihy(typ(n), n, 0) },
-		FetchIncOp, ns)
+		FetchIncOp, ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,5 +446,108 @@ func TestReductionsAcrossAllConstructions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepEveryConstructionParallelMatchesSerial runs a small
+// construction sweep over every registered construction at parallelism 1
+// and 4 and requires identical results and growth classifications — the
+// engine's determinism contract on the E7/E8 workload.
+func TestSweepEveryConstructionParallelMatchesSerial(t *testing.T) {
+	st, err := SweepTypeFor("fetch&increment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := []int{2, 4, 8, 16}
+	for _, name := range universal.Names() {
+		mk := func(n int) universal.Construction {
+			return universal.Must(universal.New(name, st.New(n), n, 0))
+		}
+		serial, sGrowth, err := SweepConstruction(bg, mk, st.Op, ns, 1)
+		if err != nil {
+			t.Fatalf("%s serial: %v", name, err)
+		}
+		par, pGrowth, err := SweepConstruction(bg, mk, st.Op, ns, 4)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", name, err)
+		}
+		if !reflect.DeepEqual(serial, par) || sGrowth != pGrowth {
+			t.Fatalf("%s: parallel sweep diverged:\nserial  %+v (%s)\nparallel %+v (%s)",
+				name, serial, sGrowth, par, pGrowth)
+		}
+	}
+}
+
+func TestTypeForKnowsEveryType(t *testing.T) {
+	for _, name := range []string{"fetch&increment", "queue", "stack"} {
+		st, err := SweepTypeFor(name)
+		if err != nil {
+			t.Errorf("SweepTypeFor(%q): %v", name, err)
+			continue
+		}
+		typ := st.New(4)
+		if typ == nil {
+			t.Errorf("SweepTypeFor(%q): nil type", name)
+			continue
+		}
+		o := st.Op(4, 1)
+		// The generated op must be applicable to the type's initial state.
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("SweepTypeFor(%q): op %v not applicable: %v", name, o, r)
+				}
+			}()
+			typ.Apply(typ.Init(4), o)
+		}()
+	}
+	if _, err := SweepTypeFor("bogus"); err == nil {
+		t.Error("unknown type must error")
+	}
+}
+
+// TestEntryPointsHonourCancellation hands every sweep entry point an
+// already-cancelled context, serially and fanned out, and requires
+// context.Canceled back.
+func TestEntryPointsHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	mk := func(int) machine.Algorithm { return wakeup.SetRegister() }
+	spec := wakeup.Reductions()[0]
+	mkGU := func(n int) universal.Construction {
+		return universal.NewGroupUpdate(objtype.NewFetchIncrement(16), n, 0)
+	}
+	ns := []int{2, 4, 8}
+	entries := []struct {
+		name string
+		run  func(parallel int) error
+	}{
+		{"SweepWakeup", func(p int) error {
+			_, err := SweepWakeup(ctx, mk, ns, machine.ZeroTosses, p)
+			return err
+		}},
+		{"ExpectedComplexity", func(p int) error {
+			_, err := ExpectedComplexity(ctx, mk, 8, 10, 7, p)
+			return err
+		}},
+		{"VerifyIndistinguishability", func(p int) error {
+			_, err := VerifyIndistinguishability(ctx, wakeup.SetRegister(), 8, machine.ZeroTosses, p)
+			return err
+		}},
+		{"SweepReduction", func(p int) error {
+			_, err := SweepReduction(ctx, spec, "group-update", ns, machine.ZeroTosses, p)
+			return err
+		}},
+		{"SweepConstruction", func(p int) error {
+			_, _, err := SweepConstruction(ctx, mkGU, FetchIncOp, ns, p)
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, parallel := range []int{1, 4} {
+			if err := e.run(parallel); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s parallel=%d: err = %v, want context.Canceled", e.name, parallel, err)
+			}
+		}
 	}
 }

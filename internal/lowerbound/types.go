@@ -9,9 +9,10 @@ import (
 )
 
 // SweepType pairs an object-type factory with the operation each process
-// performs in a construction sweep — the workload vocabulary shared by
-// cmd/unisweep and the job service, so a CLI sweep and a submitted sweep
-// job mean exactly the same thing.
+// performs in a construction sweep — the workload vocabulary of the job
+// service's sweep kind (internal/jobs) and its distributed shards
+// (internal/dist), so a local and a sharded sweep job mean exactly the
+// same thing.
 type SweepType struct {
 	// Name is the registry key (e.g. "fetch&increment").
 	Name string

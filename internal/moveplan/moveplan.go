@@ -125,13 +125,6 @@ func Eval(plan Plan, sigma Schedule) *Tracker {
 	return t
 }
 
-// SourceAndMovers is a convenience wrapper: it evaluates σ on the plan and
-// returns source(reg, σ) and movers(reg, σ).
-func SourceAndMovers(plan Plan, sigma Schedule, reg int) (src int, movers []int) {
-	t := Eval(plan, sigma)
-	return t.Source(reg), t.Movers(reg)
-}
-
 // IsComplete reports whether σ is a complete schedule with respect to the
 // plan: every process of the plan appears exactly once.
 func IsComplete(plan Plan, sigma Schedule) bool {

@@ -18,7 +18,7 @@ type Summary struct {
 	StdDev float64
 	Min    float64
 	Max    float64
-	// Median and P95 are nearest-rank percentiles (see Percentile): the
+	// Median and P95 are nearest-rank percentiles (see nearestRank): the
 	// value at rank ⌈p/100·N⌉ of the sorted sample, always an observed
 	// sample point, never an interpolation.
 	Median float64
@@ -54,28 +54,17 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the nearest-rank p-th percentile of xs: the element
-// at rank ⌈p/100·N⌉ (1-based) of a sorted copy. xs is not mutated. It
+// nearestRank returns the nearest-rank p-th percentile of an
+// already-sorted sample: the element at rank ⌈p/100·N⌉ (1-based). It
 // panics on an empty sample or p outside (0, 100] — harness bugs, not
 // runtime conditions.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p <= 0 || p > 100 {
-		panic(fmt.Sprintf("stats: bad percentile input (N=%d, p=%v)", len(xs), p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return nearestRank(sorted, p)
-}
-
-// nearestRank indexes an already-sorted sample at rank ⌈p/100·N⌉.
 func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 || p <= 0 || p > 100 {
+		panic(fmt.Sprintf("stats: bad percentile input (N=%d, p=%v)", len(sorted), p))
+	}
+	// For p in (0, 100] the rank lies in [1, N]: p/100 ≤ 1 and N are exact,
+	// so the rounded product never exceeds N.
 	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
 	return sorted[rank-1]
 }
 

@@ -13,7 +13,7 @@ import (
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	n := 64
-	got, err := Map(8, n, func(i int) (int, error) {
+	got, err := Map(context.Background(), 8, n, func(i int) (int, error) {
 		// Stagger completion so out-of-order finishes would be visible.
 		time.Sleep(time.Duration((n-i)%5) * time.Millisecond)
 		return i * i, nil
@@ -33,12 +33,12 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapMatchesSerial(t *testing.T) {
 	fn := func(i int) (string, error) { return fmt.Sprintf("item-%d", i), nil }
-	serial, err := Map(1, 20, fn)
+	serial, err := Map(context.Background(), 1, 20, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16, 100} {
-		par, err := Map(workers, 20, fn)
+		par, err := Map(context.Background(), workers, 20, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestMapMatchesSerial(t *testing.T) {
 func TestMapReturnsFirstErrorByIndex(t *testing.T) {
 	err3 := errors.New("boom at 3")
 	err7 := errors.New("boom at 7")
-	got, err := Map(8, 10, func(i int) (int, error) {
+	got, err := Map(context.Background(), 8, 10, func(i int) (int, error) {
 		switch i {
 		case 3:
 			// Let the higher-indexed failure land first; the reported
@@ -79,7 +79,7 @@ func TestMapReturnsFirstErrorByIndex(t *testing.T) {
 func TestMapSerialErrorSemantics(t *testing.T) {
 	failAt2 := errors.New("fail")
 	var calls atomic.Int64
-	got, err := Map(1, 10, func(i int) (int, error) {
+	got, err := Map(context.Background(), 1, 10, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 2 {
 			return 0, failAt2
@@ -104,7 +104,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatalf("panic value lost: %v", r)
 		}
 	}()
-	_, _ = Map(4, 8, func(i int) (int, error) {
+	_, _ = Map(context.Background(), 4, 8, func(i int) (int, error) {
 		if i == 5 {
 			panic("kaboom")
 		}
@@ -113,7 +113,7 @@ func TestMapPanicPropagates(t *testing.T) {
 }
 
 func TestMapZeroItems(t *testing.T) {
-	got, err := Map(4, 0, func(i int) (int, error) { return 0, errors.New("never") })
+	got, err := Map(context.Background(), 4, 0, func(i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -178,7 +178,7 @@ func TestDeriveStreamDistinct(t *testing.T) {
 // TestMapRaceClean hammers the engine with shared-nothing items under the
 // race detector: each item owns RNG state derived from its index.
 func TestMapRaceClean(t *testing.T) {
-	sums, err := Map(8, 128, func(i int) (uint64, error) {
+	sums, err := Map(context.Background(), 8, 128, func(i int) (uint64, error) {
 		var sum uint64
 		s := uint64(Derive(1, i))
 		for j := 0; j < 1000; j++ {
@@ -190,7 +190,7 @@ func TestMapRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Map(3, 128, func(i int) (uint64, error) {
+	again, err := Map(context.Background(), 3, 128, func(i int) (uint64, error) {
 		var sum uint64
 		s := uint64(Derive(1, i))
 		for j := 0; j < 1000; j++ {
@@ -209,15 +209,16 @@ func TestMapRaceClean(t *testing.T) {
 	}
 }
 
-// TestMapCtxUncancelledMatchesMap: with a live context, MapCtx is Map.
+// TestMapCtxUncancelledMatchesMap: with a live context, Map is the
+// serial loop at every worker count.
 func TestMapCtxUncancelledMatchesMap(t *testing.T) {
 	fn := func(i int) (int, error) { return i * 3, nil }
-	want, err := Map(4, 32, fn)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]int, 32)
+	for i := range want {
+		want[i], _ = fn(i)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := MapCtx(context.Background(), workers, 32, fn)
+		got, err := Map(context.Background(), workers, 32, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int64
-		got, err := MapCtx(ctx, workers, 16, func(i int) (int, error) {
+		got, err := Map(ctx, workers, 16, func(i int) (int, error) {
 			calls.Add(1)
 			return i, nil
 		})
@@ -257,7 +258,7 @@ func TestMapCtxMidRunCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
-		got, err := MapCtx(ctx, workers, 1000, func(i int) (int, error) {
+		got, err := Map(ctx, workers, 1000, func(i int) (int, error) {
 			if calls.Add(1) == 10 {
 				cancel()
 			}
@@ -286,7 +287,7 @@ func TestMapCtxItemErrorBeatsCancellation(t *testing.T) {
 	boom := errors.New("boom at 0")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := MapCtx(ctx, 4, 8, func(i int) (int, error) {
+	got, err := Map(ctx, 4, 8, func(i int) (int, error) {
 		if i == 0 {
 			time.Sleep(10 * time.Millisecond)
 			cancel() // cancellation lands while higher items are in flight
@@ -308,7 +309,7 @@ func TestMapCtxItemErrorBeatsCancellation(t *testing.T) {
 func TestMapCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := MapCtx(ctx, 2, 10000, func(i int) (int, error) {
+	_, err := Map(ctx, 2, 10000, func(i int) (int, error) {
 		time.Sleep(time.Millisecond)
 		return i, nil
 	})

@@ -35,23 +35,12 @@ import (
 // setReg is the single shared register used by SetRegister.
 const setReg = 0
 
-// EncodePids encodes a pid set as a canonical comma-separated string —
-// the unbounded register contents of the set-accumulation algorithms.
-func EncodePids(pids map[int]bool) string {
-	var set shmem.PidBits
-	for p, in := range pids {
-		if in {
-			set.Add(p)
-		}
-	}
-	return EncodeBits(set)
-}
-
-// EncodeBits is EncodePids for a bitset: it renders set in the same
-// canonical format (a bitset iterates in increasing order, so no sort is
-// needed). The algorithm bodies use the bitset form on their LL/SC retry
-// loops — profiling the adversary benchmarks showed the map+sort+join
-// round-trip of the original encoding dominating every wakeup run.
+// EncodeBits encodes a pid set as a canonical comma-separated string of
+// increasing pids — the unbounded register contents of the
+// set-accumulation algorithms (a bitset iterates in increasing order, so
+// no sort is needed). The algorithm bodies use the bitset form on their
+// LL/SC retry loops — profiling the adversary benchmarks showed a
+// map+sort+join encoding dominating every wakeup run.
 func EncodeBits(set shmem.PidBits) string {
 	buf := make([]byte, 0, 4*set.Count())
 	set.Each(func(p int) {
@@ -63,16 +52,10 @@ func EncodeBits(set shmem.PidBits) string {
 	return string(buf)
 }
 
-// DecodePids decodes EncodePids output (nil and "" decode to the empty set).
-func DecodePids(v shmem.Value) map[int]bool {
-	out := make(map[int]bool)
-	DecodeBits(v, nil).Each(func(p int) { out[p] = true })
-	return out
-}
-
-// DecodeBits decodes EncodePids/EncodeBits output into dst (cleared
-// first), reusing dst's backing array — the retry loops decode on every
-// LL, so the register hot path stays allocation-light.
+// DecodeBits decodes EncodeBits output into dst (cleared first; nil and
+// "" decode to the empty set), reusing dst's backing array — the retry
+// loops decode on every LL, so the register hot path stays
+// allocation-light.
 func DecodeBits(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 	dst.Clear()
 	s, _ := v.(string)

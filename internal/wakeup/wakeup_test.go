@@ -68,16 +68,20 @@ func checkCorrectWakeup(t *testing.T, alg machine.Algorithm, n int) *core.AllRun
 }
 
 func TestEncodeDecodePids(t *testing.T) {
-	set := map[int]bool{3: true, 0: true, 11: true}
-	enc := EncodePids(set)
+	var set shmem.PidBits
+	for _, p := range []int{3, 0, 11} {
+		set.Add(p)
+	}
+	enc := EncodeBits(set)
 	if enc != "0,3,11" {
-		t.Fatalf("EncodePids = %q", enc)
+		t.Fatalf("EncodeBits = %q", enc)
 	}
-	dec := DecodePids(enc)
-	if len(dec) != 3 || !dec[0] || !dec[3] || !dec[11] {
-		t.Fatalf("DecodePids = %v", dec)
+	dec := DecodeBits(enc, nil)
+	if dec.Count() != 3 || !dec.Contains(0) || !dec.Contains(3) || !dec.Contains(11) {
+		t.Fatalf("DecodeBits = %q", EncodeBits(dec))
 	}
-	if len(DecodePids(nil)) != 0 || len(DecodePids("")) != 0 {
+	// Decoding reuses and clears dst.
+	if DecodeBits(nil, dec).Count() != 0 || DecodeBits("", nil).Count() != 0 {
 		t.Fatal("empty decode broken")
 	}
 }
@@ -88,7 +92,7 @@ func TestDecodePidsCorruptPanics(t *testing.T) {
 			t.Fatal("corrupt register must panic")
 		}
 	}()
-	DecodePids("1,x")
+	DecodeBits("1,x", nil)
 }
 
 func TestSetRegisterUnderAdversary(t *testing.T) {
