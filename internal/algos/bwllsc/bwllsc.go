@@ -11,14 +11,16 @@
 // still reference them).
 //
 // The package is an alternative llsc.Backend: it exposes the same surface
-// as the native mutex-guarded register file (N, Handle/Apply, Steps,
-// Fingerprint, AppendFingerprint, ReadQuiesced) and is held byte-identical
-// to it — same responses, same step counts, same fingerprint bytes, and
-// therefore the same exploration memo keys — by the differential harness in
-// this package's tests and the `make tas-equivalence` CI step. The native
-// validity set (pset) is never stored: a process's LL is valid exactly when
-// its announced node still is the head, so the pset is derived on demand
-// when fingerprinting.
+// as the native backend, llsc.Memory (N, Handle, Apply, Steps,
+// AppendFingerprint, ReadQuiesced), and is an independently written
+// implementation held byte-identical to it — same responses, same step
+// counts, same fingerprint bytes, and therefore the same exploration memo
+// keys — by the differential harness in this package's tests and the
+// `make tas-equivalence` CI step. Apply holds the construction; Handle
+// returns the shared llsc.Handle port, which maps each machine.Port call
+// to an Apply. The native validity set (pset) is never stored: a
+// process's LL is valid exactly when its announced node still is the
+// head, so the pset is derived on demand when fingerprinting.
 //
 // Swap installs a fresh node in a CAS retry loop. Move — an inter-register
 // operation outside the scope of the original construction — reads the
@@ -33,12 +35,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"jayanti98/internal/llsc"
-	"jayanti98/internal/machine"
 	"jayanti98/internal/shmem"
 )
 
@@ -72,8 +72,8 @@ func (r *register) pset() shmem.PidBits {
 
 // Memory is a Blelloch–Wei LL/SC shared memory for n processes. It
 // implements llsc.Backend. The registry (lazy register allocation, step
-// counters, fingerprint scratch) is mutex-guarded exactly like the native
-// backend; the per-register operations themselves are CAS-based.
+// counters, fingerprint scratch) is mutex-guarded; the per-register
+// operations themselves are CAS-based.
 type Memory struct {
 	n  int
 	mu sync.Mutex
@@ -147,15 +147,10 @@ func (m *Memory) enter(pid, i int) *register {
 	return m.reg(i)
 }
 
-// Handle returns the port of process pid. A handle must only be used by one
-// goroutine at a time (per the model, a process is sequential), but
-// distinct handles may be used concurrently.
-func (m *Memory) Handle(pid int) *Handle {
-	if pid < 0 || pid >= m.n {
-		panic(fmt.Sprintf("bwllsc: pid %d out of range [0,%d)", pid, m.n))
-	}
-	return &Handle{mem: m, pid: pid}
-}
+// Handle returns the port of process pid (llsc.NewHandle). A handle must
+// only be used by one goroutine at a time (per the model, a process is
+// sequential), but distinct handles may be used concurrently.
+func (m *Memory) Handle(pid int) *llsc.Handle { return llsc.NewHandle(m, pid) }
 
 // Steps returns pid's shared-access step count.
 func (m *Memory) Steps(pid int) int64 {
@@ -179,42 +174,70 @@ func (m *Memory) TotalSteps() int64 {
 // exact semantics of shmem.Memory.Apply (including the self-move no-op).
 // It makes *Memory implement sched.Memory and llsc.Backend.
 func (m *Memory) Apply(pid int, op shmem.Op) shmem.Response {
-	h := Handle{mem: m, pid: pid}
 	switch op.Kind {
 	case shmem.OpLL:
-		return shmem.Response{OK: true, Val: h.LL(op.Reg)}
+		// Read the head and announce it.
+		r := m.enter(pid, op.Reg)
+		n := r.head.Load()
+		r.ann[pid].Store(n)
+		return shmem.Response{OK: true, Val: n.val}
 	case shmem.OpSC:
-		ok, prev := h.SC(op.Reg, op.Arg)
-		return shmem.Response{OK: ok, Val: prev}
+		// One CAS from the announced node to a fresh node. It succeeds
+		// exactly when no write intervened since the announcing LL — fresh
+		// allocation guarantees the announced node cannot have been
+		// reinstalled. A failed SC reports the current value, like the
+		// native backend.
+		r := m.enter(pid, op.Reg)
+		exp := r.ann[pid].Load()
+		if exp != nil && r.head.CompareAndSwap(exp, &node{val: op.Arg}) {
+			return shmem.Response{OK: true, Val: exp.val}
+		}
+		return shmem.Response{OK: false, Val: r.head.Load().val}
 	case shmem.OpValidate:
-		ok, v := h.Validate(op.Reg)
-		return shmem.Response{OK: ok, Val: v}
+		// The link is valid exactly when the announced node still is the
+		// head.
+		r := m.enter(pid, op.Reg)
+		n := r.head.Load()
+		return shmem.Response{OK: r.ann[pid].Load() == n, Val: n.val}
 	case shmem.OpSwap:
-		return shmem.Response{OK: true, Val: h.Swap(op.Reg, op.Arg)}
+		// Unconditionally install a fresh node, retrying the CAS until it
+		// lands. Installing a fresh node is what invalidates every
+		// outstanding LL, mirroring the native pset clear.
+		r := m.enter(pid, op.Reg)
+		return shmem.Response{OK: true, Val: install(r, op.Arg).val}
 	case shmem.OpMove:
-		h.Move(op.Src, op.Reg)
+		// A self-move is a complete no-op: it charges a step but allocates
+		// no register, like the native backend. See the package comment
+		// for move's atomicity caveat.
+		m.mu.Lock()
+		m.steps[pid]++
+		if op.Src == op.Reg {
+			m.mu.Unlock()
+			return shmem.Response{OK: true}
+		}
+		src, dst := m.reg(op.Src), m.reg(op.Reg)
+		m.mu.Unlock()
+		install(dst, src.head.Load().val)
 		return shmem.Response{OK: true}
 	default:
 		panic(fmt.Sprintf("bwllsc: unknown op kind %v", op.Kind))
 	}
 }
 
-// Fingerprint renders the full memory state — every touched register's
-// value and derived pset, in register order — exactly as the native
-// backend's Fingerprint does.
-func (m *Memory) Fingerprint() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	for _, i := range m.touched {
-		r := m.regs[i]
-		fmt.Fprintf(&b, "R%d=%v pset=%v;", i, r.head.Load().val, r.pset().Sorted())
+// install makes a fresh node holding v the head of r, retrying the CAS
+// until it lands, and returns the node it replaced.
+func install(r *register, v shmem.Value) *node {
+	fresh := &node{val: v}
+	for {
+		old := r.head.Load()
+		if r.head.CompareAndSwap(old, fresh) {
+			return old
+		}
 	}
-	return b.String()
 }
 
-// AppendFingerprint appends the compact binary state rendering in the exact
-// byte format of the native backend (llsc.Memory.AppendFingerprint): a
+// AppendFingerprint appends the binary state rendering in the exact byte
+// format of shmem.Memory.AppendFingerprint (and so of the native backend): a
 // uvarint register count, then per touched register a uvarint index, the
 // length-prefixed %v rendering of the value, and the canonical derived-pset
 // bitset words. Byte identity here is what makes exploration memo keys —
@@ -247,93 +270,4 @@ func (m *Memory) ReadQuiesced(i int) shmem.Value {
 		return m.initVal(i)
 	}
 	return nil
-}
-
-// Handle is one process's port to the memory. It implements machine.Port.
-type Handle struct {
-	mem *Memory
-	pid int
-}
-
-var _ machine.Port = (*Handle)(nil)
-
-// ID implements machine.Port.
-func (h *Handle) ID() int { return h.pid }
-
-// N implements machine.Port.
-func (h *Handle) N() int { return h.mem.n }
-
-// LL implements machine.Port: read the head and announce it.
-func (h *Handle) LL(reg int) shmem.Value {
-	r := h.mem.enter(h.pid, reg)
-	n := r.head.Load()
-	r.ann[h.pid].Store(n)
-	return n.val
-}
-
-// SC implements machine.Port: one CAS from the announced node to a fresh
-// node. It succeeds exactly when no write intervened since the announcing
-// LL — fresh allocation guarantees the announced node cannot have been
-// reinstalled. A failed SC reports the current value, like the native
-// backend.
-func (h *Handle) SC(reg int, v shmem.Value) (bool, shmem.Value) {
-	r := h.mem.enter(h.pid, reg)
-	exp := r.ann[h.pid].Load()
-	if exp != nil && r.head.CompareAndSwap(exp, &node{val: v}) {
-		return true, exp.val
-	}
-	return false, r.head.Load().val
-}
-
-// Validate implements machine.Port: the link is valid exactly when the
-// announced node still is the head.
-func (h *Handle) Validate(reg int) (bool, shmem.Value) {
-	r := h.mem.enter(h.pid, reg)
-	n := r.head.Load()
-	exp := r.ann[h.pid].Load()
-	return exp == n, n.val
-}
-
-// Read implements machine.Port (a validate with the boolean dropped).
-func (h *Handle) Read(reg int) shmem.Value {
-	_, v := h.Validate(reg)
-	return v
-}
-
-// Swap implements machine.Port: unconditionally install a fresh node,
-// retrying the CAS until it lands. Installing a fresh node is what
-// invalidates every outstanding LL, mirroring the native pset clear.
-func (h *Handle) Swap(reg int, v shmem.Value) shmem.Value {
-	r := h.mem.enter(h.pid, reg)
-	fresh := &node{val: v}
-	for {
-		old := r.head.Load()
-		if r.head.CompareAndSwap(old, fresh) {
-			return old.val
-		}
-	}
-}
-
-// Move implements machine.Port. A self-move is a complete no-op (it charges
-// a step but allocates no register, like the native backend). See the
-// package comment for move's atomicity caveat.
-func (h *Handle) Move(src, dst int) {
-	m := h.mem
-	m.mu.Lock()
-	m.steps[h.pid]++
-	if src == dst {
-		m.mu.Unlock()
-		return
-	}
-	s := m.reg(src)
-	d := m.reg(dst)
-	m.mu.Unlock()
-	v := s.head.Load().val
-	fresh := &node{val: v}
-	for {
-		old := d.head.Load()
-		if d.head.CompareAndSwap(old, fresh) {
-			return
-		}
-	}
 }

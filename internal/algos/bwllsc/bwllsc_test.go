@@ -108,8 +108,8 @@ func TestDifferentialAgainstNative(t *testing.T) {
 				return false
 			}
 			if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-				t.Logf("seed %d step %d %v: fingerprints diverge:\n  native %q\n  bw     %q",
-					seed, step, op, a.Fingerprint(), b.Fingerprint())
+				t.Logf("seed %d step %d %v: fingerprints diverge:\n  native %x\n  bw     %x",
+					seed, step, op, a.AppendFingerprint(nil), b.AppendFingerprint(nil))
 				return false
 			}
 		}
@@ -143,7 +143,7 @@ func TestFingerprintAllocationParity(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-			t.Fatalf("%s: fingerprints diverge:\n  native %q\n  bw     %q", label, a.Fingerprint(), b.Fingerprint())
+			t.Fatalf("%s: fingerprints diverge:\n  native %x\n  bw     %x", label, a.AppendFingerprint(nil), b.AppendFingerprint(nil))
 		}
 	}
 	check("empty")
@@ -173,7 +173,7 @@ func TestWithInit(t *testing.T) {
 		t.Fatalf("initial values = %v / %v, want 30", ra.Val, rb.Val)
 	}
 	if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-		t.Fatalf("fingerprints diverge:\n  native %q\n  bw     %q", a.Fingerprint(), b.Fingerprint())
+		t.Fatalf("fingerprints diverge:\n  native %x\n  bw     %x", a.AppendFingerprint(nil), b.AppendFingerprint(nil))
 	}
 }
 

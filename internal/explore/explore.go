@@ -83,9 +83,10 @@ type Config struct {
 	// Exhaustive exploration requires a deterministic assignment.
 	Tosses machine.TossAssignment
 	// LLSC selects the shared-memory backend: "" (process default, see
-	// llsc.DefaultBackend), "native", or "bw" (the Blelloch–Wei
-	// LL/SC-from-CAS construction, package algos/bwllsc). The two backends
-	// are fingerprint-identical, so exhaustive counts do not depend on the
+	// llsc.DefaultBackend), "native" (llsc.Memory, the shmem register file
+	// behind a mutex), or "bw" (the Blelloch–Wei LL/SC-from-CAS
+	// construction, package algos/bwllsc). The two backends are
+	// fingerprint-identical, so exhaustive counts do not depend on the
 	// choice — which is exactly what the differential harness pins.
 	LLSC string
 }
@@ -591,7 +592,8 @@ func (r *runner) step(pid int) bool {
 // The key is compact binary, not a rendered string (DESIGN §11): per
 // machine a one-byte enabled flag, a uvarint event count and the 8-byte
 // FNV-1a history sum; then the memory's self-delimiting binary fingerprint
-// (llsc.Memory.AppendFingerprint); then the length-prefixed checker key.
+// (llsc.Backend.AppendFingerprint, in the format of
+// shmem.Memory.AppendFingerprint); then the length-prefixed checker key.
 // Every component is either fixed-size or length-prefixed, so the
 // concatenation is injective given cfg.N — no separators needed. Callers
 // reuse dst across DFS nodes and convert to string only for the map lookup.

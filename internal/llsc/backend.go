@@ -8,28 +8,27 @@ import (
 )
 
 // Backend is the concurrent shared-memory surface the step-driven harnesses
-// (sched.Execute, package explore) and the experiment suite need. The
-// native *Memory of this package implements it; so does the Blelloch–Wei
-// LL/SC-from-CAS construction (package algos/bwllsc), which package
-// explore can be pointed at with Config.LLSC and the cmd/ tools with
-// -llsc=native|bw — the same selection pattern as machine engines
+// (sched.Execute, package explore), the experiment suite and Handle need.
+// The native *Memory of this package implements it; so does the
+// Blelloch–Wei LL/SC-from-CAS construction (package algos/bwllsc), which
+// package explore can be pointed at with Config.LLSC and the cmd/ tools
+// with -llsc=native|bw — the same selection pattern as machine engines
 // (LB_ENGINE / -engine). The two backends are held byte-identical —
 // responses, step counts and AppendFingerprint renderings — by the
 // differential harness in algos/bwllsc.
 type Backend interface {
 	// N returns the number of processes the memory was created for.
 	N() int
-	// Apply performs op on behalf of pid (sched.Memory).
+	// Apply performs op on behalf of pid (sched.Memory). It must be safe
+	// for concurrent use by distinct pids.
 	Apply(pid int, op shmem.Op) shmem.Response
 	// Steps returns pid's shared-access step count.
 	Steps(pid int) int64
 	// TotalSteps returns the total shared-access step count.
 	TotalSteps() int64
-	// Fingerprint renders the full memory state deterministically.
-	Fingerprint() string
-	// AppendFingerprint appends the compact binary rendering of the same
-	// state (see Memory.AppendFingerprint for the exact format, which both
-	// backends must produce byte-for-byte).
+	// AppendFingerprint appends the binary rendering of the memory state
+	// in the format of shmem.Memory.AppendFingerprint, which every
+	// backend must produce byte-for-byte.
 	AppendFingerprint(dst []byte) []byte
 	// ReadQuiesced returns register i's value without charging a step or
 	// perturbing the fingerprint.
@@ -42,7 +41,8 @@ var _ Backend = (*Memory)(nil)
 type BackendKind int32
 
 const (
-	// BackendNative is the mutex-guarded register file of this package.
+	// BackendNative is the mutex-guarded shmem register file of this
+	// package.
 	BackendNative BackendKind = iota
 	// BackendBW is the Blelloch–Wei LL/SC-from-CAS construction
 	// (package algos/bwllsc).

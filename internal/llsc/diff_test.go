@@ -8,12 +8,12 @@ import (
 	"jayanti98/internal/shmem"
 )
 
-// TestDifferentialAgainstSimulator cross-checks the two memory backends:
-// identical single-threaded operation sequences must produce identical
-// responses on shmem.Memory and on a Memory from this package. The two
-// implementations were written independently, so agreement on random op
-// streams (including multi-process link interactions and self-moves) is a
-// strong check of both.
+// TestDifferentialAgainstSimulator checks the Handle→Op mapping: each
+// machine.Port call on a Handle must produce the response of the matching
+// shmem.Op applied to a bare shmem.Memory, on random single-threaded op
+// streams (including multi-process link interactions and self-moves). The
+// check of two independently written implementations against each other is
+// the bwllsc-vs-native differential in package algos/bwllsc.
 func TestDifferentialAgainstSimulator(t *testing.T) {
 	const npids, nregs = 4, 5
 	f := func(seed int64) bool {

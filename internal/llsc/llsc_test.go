@@ -1,6 +1,7 @@
 package llsc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -205,17 +206,18 @@ func TestConcurrentStepBoundHolds(t *testing.T) {
 	}
 }
 
-// TestReadQuiescedDoesNotPerturb is the llsc half of the PR 6 headline
-// regression test: a quiesced read of an untouched register must return
-// its initial value without allocating it, leaving the fingerprint — and
-// therefore the explorer's memo keys — unchanged.
+// TestReadQuiescedDoesNotPerturb: a quiesced read of an untouched register
+// must return its initial value without allocating it, leaving the
+// fingerprint — and therefore the explorer's memo keys — unchanged.
 func TestReadQuiescedDoesNotPerturb(t *testing.T) {
-	m := New(2, WithInit(func(reg int) shmem.Value { return reg + 100 }))
+	init := WithInit(func(reg int) shmem.Value { return reg + 100 })
+	m := New(2, init)
 	if got := m.ReadQuiesced(9); got != 109 {
 		t.Fatalf("ReadQuiesced(9) = %v, want 109 (the initial value)", got)
 	}
-	if fp := m.Fingerprint(); fp != "" {
-		t.Fatalf("ReadQuiesced perturbed the fingerprint: %q", fp)
+	fresh := New(2, init).AppendFingerprint(nil)
+	if key := m.AppendFingerprint(nil); string(key) != string(fresh) {
+		t.Fatalf("ReadQuiesced perturbed the fingerprint: %x, want %x", key, fresh)
 	}
 	bare := New(2)
 	if got := bare.ReadQuiesced(9); got != nil {
@@ -226,8 +228,8 @@ func TestReadQuiescedDoesNotPerturb(t *testing.T) {
 	}
 	// A real operation still shows up afterwards.
 	m.Handle(0).LL(9)
-	if fp := m.Fingerprint(); fp == "" {
-		t.Fatal("LL must perturb the fingerprint")
+	if key := m.AppendFingerprint(nil); string(key) == string(fresh) {
+		t.Fatalf("LL must perturb the fingerprint: %x", key)
 	}
 }
 
@@ -271,33 +273,45 @@ func TestAppendFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
-// TestFingerprintAgreesWithString checks the two fingerprint forms induce
-// the same equivalence on a family of small states: binary keys are equal
-// exactly when the string fingerprints are.
+// TestFingerprintAgreesWithString checks the binary key induces the same
+// equivalence as the retired string fingerprint on a family of small
+// states: each state's key and key-equality class is pinned, and two
+// states share a key exactly when they share a class. Values render with
+// %v, so 7 and "7" share a key, as does a swap of 7 with a successful SC
+// of 7 (both leave R0 = 7 with an empty Pset).
 func TestFingerprintAgreesWithString(t *testing.T) {
-	states := []func(m *Memory){
-		func(m *Memory) {},
-		func(m *Memory) { m.Handle(0).LL(0) },
-		func(m *Memory) { m.Handle(1).LL(0) },
-		func(m *Memory) { m.Handle(0).LL(1) },
-		func(m *Memory) { m.Handle(0).Swap(0, 7) },
-		func(m *Memory) { m.Handle(0).Swap(0, "7") },
-		func(m *Memory) { h := m.Handle(0); h.LL(0); h.SC(0, 7) },
-		func(m *Memory) { h := m.Handle(0); h.LL(2); m.Handle(1).LL(2) },
-		func(m *Memory) { m.Handle(0).Move(0, 1) },
-	}
-	type pair struct{ str, bin string }
-	pairs := make([]pair, len(states))
-	for i, f := range states {
+	build := func(f func(m *Memory)) string {
 		m := New(2)
 		f(m)
-		pairs[i] = pair{m.Fingerprint(), string(m.AppendFingerprint(nil))}
+		return string(m.AppendFingerprint(nil))
 	}
-	for i := range pairs {
-		for j := range pairs {
-			if (pairs[i].str == pairs[j].str) != (pairs[i].bin == pairs[j].bin) {
-				t.Errorf("fingerprint forms disagree on states %d vs %d: str %q/%q bin %x/%x",
-					i, j, pairs[i].str, pairs[j].str, pairs[i].bin, pairs[j].bin)
+	states := []struct {
+		state func(m *Memory)
+		class int
+		key   string
+	}{
+		{func(m *Memory) {}, 0, "00"},
+		{func(m *Memory) { m.Handle(0).LL(0) }, 1, "0100053c6e696c3e010100000000000000"},
+		{func(m *Memory) { m.Handle(1).LL(0) }, 2, "0100053c6e696c3e010200000000000000"},
+		{func(m *Memory) { m.Handle(0).LL(1) }, 3, "0101053c6e696c3e010100000000000000"},
+		{func(m *Memory) { m.Handle(0).Swap(0, 7) }, 4, "0100013700"},
+		{func(m *Memory) { m.Handle(0).Swap(0, "7") }, 4, "0100013700"},
+		{func(m *Memory) { h := m.Handle(0); h.LL(0); h.SC(0, 7) }, 4, "0100013700"},
+		{func(m *Memory) { m.Handle(0).LL(2); m.Handle(1).LL(2) }, 5, "0102053c6e696c3e010300000000000000"},
+		{func(m *Memory) { m.Handle(0).Move(0, 1) }, 6, "0200053c6e696c3e0001053c6e696c3e00"},
+	}
+	keys := make([]string, len(states))
+	for i, tc := range states {
+		keys[i] = build(tc.state)
+		if got := fmt.Sprintf("%x", keys[i]); got != tc.key {
+			t.Errorf("state %d: key %s, want %s", i, got, tc.key)
+		}
+	}
+	for i := range states {
+		for j := range states {
+			if (keys[i] == keys[j]) != (states[i].class == states[j].class) {
+				t.Errorf("states %d and %d: keys %x/%x, classes %d/%d",
+					i, j, keys[i], keys[j], states[i].class, states[j].class)
 			}
 		}
 	}

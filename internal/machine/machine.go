@@ -146,9 +146,9 @@ func (e *Env) Move(src, dst int) {
 // Port is the capability surface that reusable building blocks (universal
 // constructions, shared-object clients) program against: the five
 // shared-memory operations plus process identity. *Env implements Port on
-// the simulated memory; llsc.Handle implements it on the concurrent memory,
-// so the same construction code runs under the adversary and under real
-// goroutines.
+// the simulated memory; llsc.Handle implements it on every concurrent
+// llsc.Backend, so the same construction code runs under the adversary and
+// under real goroutines.
 type Port interface {
 	// ID returns the calling process's identifier in [0, N).
 	ID() int

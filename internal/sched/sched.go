@@ -88,10 +88,11 @@ func (s *Random) Next(_ int, live []int) int {
 }
 
 // Memory is the backend an execution applies shared-memory operations to.
-// *shmem.Memory (the single-threaded simulator) implements it natively;
-// *llsc.Memory (the concurrent memory) implements it too, so the same
-// executor — and the schedule-exploration harness of package explore —
-// can drive machines against either backend.
+// *shmem.Memory (the single-threaded simulator) implements it, and so
+// does every llsc.Backend — *llsc.Memory (the same simulator behind a
+// mutex) and the Blelloch–Wei *bwllsc.Memory — so the same executor, and
+// the schedule-exploration harness of package explore, can drive machines
+// against any of them.
 type Memory interface {
 	// Apply performs op on behalf of pid and returns the response.
 	Apply(pid int, op shmem.Op) shmem.Response

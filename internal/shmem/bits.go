@@ -16,20 +16,6 @@ func WordOf(i int) int { return i >> 6 }
 // BitOf returns the single-bit mask of bit i within its word.
 func BitOf(i int) uint64 { return 1 << uint(i&63) }
 
-// MaskUpTo returns the mask with the low k bits set, for k in [0, 64]:
-// MaskUpTo(0) = 0, MaskUpTo(64) = all ones. The k = 64 case is why this
-// helper exists: the naive 1<<k − 1 shifts a uint64 by its full width,
-// which Go defines as 0 — the mask would silently lose a whole word.
-func MaskUpTo(k int) uint64 {
-	if k < 0 || k > 64 {
-		panic(fmt.Sprintf("shmem: MaskUpTo(%d) out of range [0, 64]", k))
-	}
-	if k == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(k)) - 1
-}
-
 // PidBits is a set of process ids as a []uint64 bitset — the register-file
 // Pset representation (DESIGN §11). The hot path cares about two
 // operations: adding the caller on LL (one OR) and clearing the whole set

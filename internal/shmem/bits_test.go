@@ -3,8 +3,8 @@ package shmem
 import "testing"
 
 // The word/bit helpers guard the classic boundary hazards of uint64-word
-// bitsets: bit 0, bit 63 (last of a word), and bit/width 64 (first of the
-// next word — and, for MaskUpTo, the full-width shift Go defines as 0).
+// bitsets: bit 0, bit 63 (last of a word), and bit 64 (first of the
+// next word).
 
 func TestWordOfBoundaries(t *testing.T) {
 	cases := []struct {
@@ -40,50 +40,7 @@ func TestBitOfBoundaries(t *testing.T) {
 	}
 }
 
-func TestMaskUpToBoundaries(t *testing.T) {
-	cases := []struct {
-		k    int
-		mask uint64
-	}{
-		{0, 0},
-		{1, 1},
-		{2, 3},
-		{63, 1<<63 - 1},  // all but the top bit
-		{64, ^uint64(0)}, // full word: the naive 1<<64 - 1 is 0 in Go
-	}
-	for _, tc := range cases {
-		if got := MaskUpTo(tc.k); got != tc.mask {
-			t.Errorf("MaskUpTo(%d) = %#x, want %#x", tc.k, got, tc.mask)
-		}
-	}
-	// Every mask must have exactly k bits set and be a prefix of the next.
-	prev := uint64(0)
-	for k := 0; k <= 64; k++ {
-		m := MaskUpTo(k)
-		if m&prev != prev {
-			t.Errorf("MaskUpTo(%d) = %#x is not an extension of MaskUpTo(%d) = %#x", k, m, k-1, prev)
-		}
-		if bits := popcount(m); bits != k {
-			t.Errorf("MaskUpTo(%d) has %d bits set", k, bits)
-		}
-		prev = m
-	}
-}
-
-func TestMaskUpToPanicsOutOfRange(t *testing.T) {
-	for _, k := range []int{-1, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("MaskUpTo(%d) did not panic", k)
-				}
-			}()
-			MaskUpTo(k)
-		}()
-	}
-}
-
-// TestHelpersComposeLikeABitset checks the three helpers against a
+// TestHelpersComposeLikeABitset checks the two helpers against a
 // straightforward map-of-ints model across both sides of a word boundary.
 func TestHelpersComposeLikeABitset(t *testing.T) {
 	words := make([]uint64, 3)
@@ -103,21 +60,6 @@ func TestHelpersComposeLikeABitset(t *testing.T) {
 			t.Errorf("bit %d: got %v, want %v", i, in(i), want)
 		}
 	}
-	// MaskUpTo(64) must cover exactly word 0's population.
-	if got := popcount(words[0] & MaskUpTo(64)); got != 4 {
-		t.Errorf("word 0 has %d bits under a full mask, want 4", got)
-	}
-	if got := popcount(words[0] & MaskUpTo(63)); got != 3 {
-		t.Errorf("word 0 has %d bits under MaskUpTo(63), want 3 (bit 63 excluded)", got)
-	}
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 func TestPidBitsBasics(t *testing.T) {

@@ -12,9 +12,11 @@ import (
 // The count prefix makes the block self-delimiting, so callers can
 // concatenate it with other key material without separators.
 //
-// This is the simulated-memory twin of llsc.Memory.AppendFingerprint, with
-// the same encoding; the differential-testing harness (package lockstep)
-// folds it into its exhaustive-search memoization keys, and compares the
+// This is the one encoder of the format: llsc.Memory.AppendFingerprint
+// calls it under its lock, and the Blelloch–Wei backend (package
+// algos/bwllsc) reproduces it byte for byte. The exploration harness folds
+// it into its memoization keys, and the differential-testing harness
+// (package lockstep) into its exhaustive-search keys, comparing the
 // fingerprints of the two engines' memories directly.
 func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.touched)))

@@ -165,10 +165,10 @@ type register struct {
 }
 
 // Memory is the shared memory: an unbounded register file plus per-process
-// shared-access step counters. Memory is not safe for concurrent use; the
-// lower-bound machinery drives it from a single scheduler goroutine. For a
-// concurrent linearizable variant usable from many goroutines, see package
-// llsc.
+// shared-access step counters. It is the one implementation of the §3
+// register file. Memory is not safe for concurrent use; the lower-bound
+// machinery drives it from a single scheduler goroutine, and llsc.Memory
+// wraps it in a mutex for many goroutines.
 type Memory struct {
 	regs map[int]*register
 	// touched holds the indices of allocated registers in increasing
