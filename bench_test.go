@@ -324,7 +324,8 @@ func BenchmarkGroupUpdateConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineStep measures the coroutine handshake per shared step.
+// BenchmarkMachineStep measures the goroutine engine's coroutine switch
+// (resume and yield) per shared step.
 func BenchmarkMachineStep(b *testing.B) {
 	alg := machine.New("spin", func(e *machine.Env) shmem.Value {
 		for {
@@ -343,9 +344,9 @@ func BenchmarkMachineStep(b *testing.B) {
 
 // BenchmarkVMStep measures the bytecode VM's per-shared-step cost on the
 // same spin workload as BenchmarkMachineStep. The interpreter pays two
-// channel handshakes and a goroutine wakeup per step; the VM resumes
-// in-line on the caller's stack, so the gap between the two numbers is the
-// engine speedup every adversary and exploration loop inherits.
+// coroutine switches per step; the VM resumes in-line on the caller's
+// stack, so the gap between the two numbers is the engine speedup every
+// adversary and exploration loop inherits.
 func BenchmarkVMStep(b *testing.B) {
 	chunk := vmachine.MustCompile(&vmachine.Program{
 		Name: "spin",

@@ -72,46 +72,11 @@ type Round struct {
 	StateKeys map[int]string
 	// NumTosses maps each pid to numtosses(p, r, Σ).
 	NumTosses map[int]int
-	// UPProc and UPReg are the UP sets at the end of this round. They are
-	// populated only for (All,A)-runs; (S,A)-runs reuse the all-run's sets.
-	UPProc map[int]PidSet
+	// UPProc (indexed by pid) and UPReg are the UP sets at the end of this
+	// round. They are populated only for (All,A)-runs in history mode;
+	// (S,A)-runs reuse the all-run's sets.
+	UPProc []PidSet
 	UPReg  map[int]PidSet
-}
-
-// successfulSC returns the pid that performed a successful SC on reg in
-// this round, or -1. (At most one SC on a register succeeds per round: the
-// first success clears the Pset and every move or swap on the register in
-// earlier phases clears it too.)
-func (r *Round) successfulSC(reg int) int {
-	for _, s := range r.Steps {
-		if s.Op.Kind == shmem.OpSC && s.Op.Reg == reg && s.Resp.OK {
-			return s.Pid
-		}
-	}
-	return -1
-}
-
-// swappers returns the pids that performed swap on reg this round, in
-// execution order.
-func (r *Round) swappers(reg int) []int {
-	var out []int
-	for _, s := range r.Steps {
-		if s.Op.Kind == shmem.OpSwap && s.Op.Reg == reg {
-			out = append(out, s.Pid)
-		}
-	}
-	return out
-}
-
-// movedInto reports whether any process performed a move into reg this
-// round.
-func (r *Round) movedInto(reg int) bool {
-	for _, mv := range r.MovePlan {
-		if mv.Dst == reg {
-			return true
-		}
-	}
-	return false
 }
 
 // AllRun is a complete (All,A)-run: the unique unextendable run permitted
@@ -139,10 +104,21 @@ type AllRun struct {
 	// such a run cannot be compared with CheckIndist or used with RunSub.
 	NoHistory bool
 
-	// curUPProc and curUPReg are the latest UP sets; in history mode they
-	// are also recorded per round.
-	curUPProc map[int]PidSet
-	curUPReg  map[int]PidSet
+	// curUPProc (indexed by pid) and curUPReg are the latest UP sets; in
+	// history mode they are also recorded per round. In NoHistory mode
+	// nextUPProc is the spare buffer the next round's process sets are
+	// written into.
+	curUPProc  []PidSet
+	nextUPProc []PidSet
+	curUPReg   map[int]PidSet
+	// Per-round indexes of updateUP, reused across rounds: stepAt[pid] is
+	// 1 + the index of pid's step in the round (0 = none), prevSwap[pid]
+	// the swapper just before pid on its register, overlay the registers
+	// written in the round and regAt their positions in it.
+	stepAt   []int32
+	prevSwap []int32
+	overlay  []regWrite
+	regAt    map[int]int
 	// lemma51Err records the first incremental Lemma 5.1 violation.
 	lemma51Err error
 }
@@ -169,7 +145,10 @@ func (a *AllRun) UPProcAt(pid, r int) PidSet {
 	if r == 0 {
 		return NewPidSet(pid)
 	}
-	return a.Rounds[r-1].UPProc[pid]
+	if up := a.Rounds[r-1].UPProc; pid < len(up) {
+		return up[pid]
+	}
+	return PidSet{}
 }
 
 // UPRegAt returns UP(R, r) for r ≥ 0 (r = 0 is the empty set).
@@ -186,8 +165,8 @@ func (a *AllRun) UPRegAt(reg, r int) PidSet {
 // FinalUPProc returns UP(p, r_final): p's knowledge set at the end of the
 // run. Available in both history and NoHistory modes.
 func (a *AllRun) FinalUPProc(pid int) PidSet {
-	if s, ok := a.curUPProc[pid]; ok {
-		return s
+	if pid < len(a.curUPProc) {
+		return a.curUPProc[pid]
 	}
 	return NewPidSet(pid)
 }
@@ -246,11 +225,9 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 			return run, fmt.Errorf("%w: %s with n=%d after %d rounds", ErrTooManyRounds, alg.Name(), n, r-1)
 		}
 		round := &Round{
-			R:         r,
-			Returned:  make(map[int]shmem.Value),
-			MovePlan:  make(moveplan.Plan),
-			StateKeys: make(map[int]string, n),
-			NumTosses: make(map[int]int, n),
+			R:        r,
+			Returned: make(map[int]shmem.Value),
+			MovePlan: make(moveplan.Plan),
 		}
 
 		// Phase 1: drain coin tosses; collect returns; partition the rest.
@@ -260,6 +237,7 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		}
 		if len(live) > 0 {
 			partition(ms, live, round)
+			round.Steps = make([]StepRecord, 0, len(live))
 			execRound(mem, ms, round, run.Steps) // phases 2–5
 			for _, pid := range live {
 				if _, ok := run.FirstStepRound[pid]; !ok {
@@ -274,6 +252,8 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		if len(live) > 0 || len(round.Returned) > 0 {
 			if !cfg.NoHistory {
 				round.MemSnap = mem.Snapshot()
+				round.StateKeys = make(map[int]string, n)
+				round.NumTosses = make(map[int]int, n)
 				for _, m := range ms {
 					round.StateKeys[m.ID()] = m.HistoryKey()
 					round.NumTosses[m.ID()] = m.NumTosses()

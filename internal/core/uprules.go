@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"jayanti98/internal/moveplan"
 	"jayanti98/internal/shmem"
@@ -38,92 +39,85 @@ import (
 //  7. unsuccessful SC on R:       UP(p,r) = UP(p,r−1) ∪ UP(R,r).
 //  8. no shared-memory operation: UP(p,r) = UP(p,r−1).
 func updateUP(run *AllRun, round *Round) {
-	r := round.R
+	n := run.N
 	if run.curUPProc == nil {
-		run.curUPProc = make(map[int]PidSet, run.N)
+		run.curUPProc = make([]PidSet, n)
+		for pid := range run.curUPProc {
+			run.curUPProc[pid] = NewPidSet(pid)
+		}
 		run.curUPReg = make(map[int]PidSet)
+		run.stepAt = make([]int32, n)
+		run.prevSwap = make([]int32, n)
+		run.regAt = make(map[int]int)
 	}
-	prevProc := func(pid int) PidSet {
-		if s, ok := run.curUPProc[pid]; ok {
-			return s
-		}
-		return NewPidSet(pid)
-	}
+	prevProc := run.curUPProc // UP(·, r−1), indexed by pid
 	prevReg := func(reg int) PidSet {
-		if s, ok := run.curUPReg[reg]; ok {
-			return s
-		}
-		return NewPidSet()
+		return run.curUPReg[reg] // the zero PidSet (empty) when never written
 	}
+	written := run.scanSteps(round)
 
-	tracker := moveplan.Eval(round.MovePlan, round.Sigma)
+	var tracker *moveplan.Tracker
 	// moveUP(R) is the union of rule 3's UP-of-source and UPs-of-movers.
 	moveUP := func(reg int) PidSet {
+		if tracker == nil {
+			tracker = moveplan.Eval(round.MovePlan, round.Sigma)
+		}
 		s := prevReg(tracker.Source(reg))
 		for _, q := range tracker.Movers(reg) {
-			s = unionShared(s, prevProc(q))
+			s = unionShared(s, prevProc[q])
 		}
 		return s
 	}
 
-	// Registers. Copy the previous round's sets forward (rule 4). Stored
-	// sets are immutable, so every rule shares the previous round's set
-	// and unionShared clones only when a union actually grows it.
-	upReg := make(map[int]PidSet, len(run.curUPReg))
-	for reg, s := range run.curUPReg {
-		upReg[reg] = s
-	}
-	written := writtenRegisters(round)
-	for _, reg := range written {
-		switch p := round.successfulSC(reg); {
-		case p >= 0: // rule 1
-			upReg[reg] = prevProc(p)
-		default:
-			if sw := round.swappers(reg); len(sw) > 0 { // rule 2
-				upReg[reg] = prevProc(sw[len(sw)-1])
-			} else if round.movedInto(reg) { // rule 3
-				upReg[reg] = moveUP(reg)
-			}
+	// Registers. Unwritten registers keep UP(R, r−1) (rule 4); the sets of
+	// written ones go to the overlay, since the process rules below still
+	// read UP(·, r−1). Stored sets are immutable, so every rule shares the
+	// previous round's set and unionShared clones only when a union
+	// actually grows it.
+	for i := range written {
+		w := &written[i]
+		switch {
+		case w.sc >= 0: // rule 1
+			w.up = prevProc[w.sc]
+		case w.lastSwap >= 0: // rule 2
+			w.up = prevProc[w.lastSwap]
+		case w.moved: // rule 3
+			w.up = moveUP(w.reg)
 		}
 	}
-	if !run.NoHistory {
-		round.UPReg = upReg
-	}
-	// NOTE: run.curUPReg is replaced only after the process rules below,
-	// which still need UP(·, r−1) through prevReg.
-
 	// curReg is UP(R, r), needed by process rule 7.
 	curReg := func(reg int) PidSet {
-		if s, ok := upReg[reg]; ok {
-			return s
+		if i, ok := run.regAt[reg]; ok {
+			return written[i].up
 		}
-		return NewPidSet()
+		return prevReg(reg)
 	}
 
-	// Processes.
-	stepOf := make(map[int]StepRecord, len(round.Steps))
-	for _, s := range round.Steps {
-		stepOf[s.Pid] = s
+	// Processes. In NoHistory mode the sets are double-buffered: the
+	// buffer two rounds old is overwritten in full. In history mode each
+	// round keeps its own slice.
+	upProc := run.nextUPProc
+	if !run.NoHistory || upProc == nil {
+		upProc = make([]PidSet, n)
 	}
-	upProc := make(map[int]PidSet, run.N)
-	for pid := 0; pid < run.N; pid++ {
-		up := prevProc(pid)
-		step, acted := stepOf[pid]
-		if !acted { // rule 8
+	for pid := 0; pid < n; pid++ {
+		up := prevProc[pid]
+		at := run.stepAt[pid]
+		if at == 0 { // rule 8
 			upProc[pid] = up
 			continue
 		}
+		step := round.Steps[at-1]
 		reg := step.Op.Reg
 		switch step.Op.Kind {
 		case shmem.OpLL, shmem.OpValidate: // rule 1
 			up = unionShared(up, prevReg(reg))
 		case shmem.OpMove: // rule 2
 		case shmem.OpSwap:
-			sw := round.swappers(reg)
-			switch {
-			case sw[0] != pid: // rule 5
-				up = unionShared(up, prevProc(prevSwapper(sw, pid)))
-			case round.movedInto(reg): // rule 4
+			switch q := run.prevSwap[pid]; {
+			case q >= 0: // rule 5
+				up = unionShared(up, prevProc[q])
+			case written[run.regAt[reg]].moved: // rule 4
 				up = unionShared(up, moveUP(reg))
 			default: // rule 3
 				up = unionShared(up, prevReg(reg))
@@ -137,16 +131,76 @@ func updateUP(run *AllRun, round *Round) {
 		}
 		upProc[pid] = up
 	}
-	if !run.NoHistory {
+
+	// Apply the overlay, then publish the round's sets.
+	for _, w := range written {
+		run.curUPReg[w.reg] = w.up
+	}
+	if run.NoHistory {
+		run.nextUPProc = prevProc
+	} else {
 		round.UPProc = upProc
+		round.UPReg = maps.Clone(run.curUPReg)
 	}
 	run.curUPProc = upProc
-	run.curUPReg = upReg
 
 	// Incremental Lemma 5.1 check (so NoHistory runs can still report it).
 	if run.lemma51Err == nil {
-		run.lemma51Err = checkLemma51Round(run.N, r, upProc, upReg, written)
+		run.lemma51Err = checkLemma51Round(n, round.R, upProc, written)
 	}
+
+	for _, s := range round.Steps {
+		run.stepAt[s.Pid] = 0
+	}
+}
+
+// regWrite is one register written in the round under update: the facts
+// the register rules need, then UP(R, r) once computed.
+type regWrite struct {
+	reg      int
+	sc       int  // pid of the successful SC on reg, or -1
+	lastSwap int  // pid of the last swap on reg, or -1
+	moved    bool // some process moved into reg
+	up       PidSet
+}
+
+// scanSteps indexes the round's steps in one pass: run.stepAt[pid] becomes
+// 1 + the index of pid's step (0 = no step), run.prevSwap[pid] the swapper
+// immediately before pid on the same register (−1 for the first), and the
+// returned overlay lists the registers whose value may have changed this
+// round — targets of successful SCs, swaps and moves — in first-write
+// order, with run.regAt mapping each to its overlay index. (At most one SC
+// on a register succeeds per round: the first success clears the Pset,
+// and every move or swap on the register in earlier phases clears it too.)
+func (run *AllRun) scanSteps(round *Round) []regWrite {
+	written := run.overlay[:0]
+	clear(run.regAt)
+	entry := func(reg int) *regWrite {
+		i, ok := run.regAt[reg]
+		if !ok {
+			i = len(written)
+			run.regAt[reg] = i
+			written = append(written, regWrite{reg: reg, sc: -1, lastSwap: -1})
+		}
+		return &written[i]
+	}
+	for i, s := range round.Steps {
+		run.stepAt[s.Pid] = int32(i + 1)
+		switch s.Op.Kind {
+		case shmem.OpSwap:
+			w := entry(s.Op.Reg)
+			run.prevSwap[s.Pid] = int32(w.lastSwap)
+			w.lastSwap = s.Pid
+		case shmem.OpMove:
+			entry(s.Op.Reg).moved = true
+		case shmem.OpSC:
+			if s.Resp.OK {
+				entry(s.Op.Reg).sc = s.Pid
+			}
+		}
+	}
+	run.overlay = written
+	return written
 }
 
 // unionShared returns s ∪ o without mutating either: s itself when o adds
@@ -164,7 +218,7 @@ func unionShared(s, o PidSet) PidSet {
 // checkLemma51Round verifies |UP(X, r)| ≤ 4^r for the just-updated sets.
 // Only registers written this round can have grown, so only they are
 // checked (unwritten registers carry forward already-checked sets).
-func checkLemma51Round(n, r int, upProc map[int]PidSet, upReg map[int]PidSet, written []int) error {
+func checkLemma51Round(n, r int, upProc []PidSet, written []regWrite) error {
 	bound := 1
 	for i := 0; i < r && bound < n; i++ {
 		bound *= 4
@@ -172,55 +226,28 @@ func checkLemma51Round(n, r int, upProc map[int]PidSet, upReg map[int]PidSet, wr
 	if bound >= n {
 		return nil // vacuous: |UP| ≤ n always
 	}
+	reg, regUP := -1, PidSet{}
+	for _, w := range written {
+		if w.up.Len() > bound && (reg < 0 || w.reg < reg) {
+			reg, regUP = w.reg, w.up
+		}
+	}
+	return lemma51Violation(r, bound, upProc, reg, regUP)
+}
+
+// lemma51Violation reports a set over the bound 4^r: the lowest pid whose
+// UP(p, r) is too large, else register reg, the caller's lowest offending
+// register (regUP is its set, empty when no register offends).
+func lemma51Violation(r, bound int, upProc []PidSet, reg int, regUP PidSet) error {
 	for pid, up := range upProc {
 		if up.Len() > bound {
 			return fmt.Errorf("core: |UP(p%d, %d)| = %d exceeds 4^%d = %d", pid, r, up.Len(), r, bound)
 		}
 	}
-	for _, reg := range written {
-		if up, ok := upReg[reg]; ok && up.Len() > bound {
-			return fmt.Errorf("core: |UP(R%d, %d)| = %d exceeds 4^%d = %d", reg, r, up.Len(), r, bound)
-		}
+	if regUP.Len() > bound {
+		return fmt.Errorf("core: |UP(R%d, %d)| = %d exceeds 4^%d = %d", reg, r, regUP.Len(), r, bound)
 	}
 	return nil
-}
-
-// writtenRegisters returns the registers whose value may have changed this
-// round: targets of successful SCs, swaps, and moves.
-func writtenRegisters(round *Round) []int {
-	seen := make(map[int]bool)
-	var regs []int
-	add := func(reg int) {
-		if !seen[reg] {
-			seen[reg] = true
-			regs = append(regs, reg)
-		}
-	}
-	for _, s := range round.Steps {
-		switch s.Op.Kind {
-		case shmem.OpSwap, shmem.OpMove:
-			add(s.Op.Reg)
-		case shmem.OpSC:
-			if s.Resp.OK {
-				add(s.Op.Reg)
-			}
-		}
-	}
-	return regs
-}
-
-// prevSwapper returns the swapper immediately before pid in the round's
-// swap order on one register.
-func prevSwapper(sw []int, pid int) int {
-	for i, p := range sw {
-		if p == pid {
-			if i == 0 {
-				panic(fmt.Sprintf("core: pid %d is the first swapper", pid))
-			}
-			return sw[i-1]
-		}
-	}
-	panic(fmt.Sprintf("core: pid %d not among swappers %v", pid, sw))
 }
 
 // CheckLemma51 verifies Lemma 5.1 on a completed run: for every process or
@@ -237,15 +264,14 @@ func CheckLemma51(run *AllRun) error {
 			break // 4^r ≥ n: the bound is vacuous (|UP| ≤ n always)
 		}
 		bound *= 4 // now 4^r for this round
-		for pid, up := range round.UPProc {
-			if up.Len() > bound {
-				return fmt.Errorf("core: |UP(p%d, %d)| = %d exceeds 4^%d = %d", pid, round.R, up.Len(), round.R, bound)
+		reg, regUP := -1, PidSet{}
+		for g, up := range round.UPReg {
+			if up.Len() > bound && (reg < 0 || g < reg) {
+				reg, regUP = g, up
 			}
 		}
-		for reg, up := range round.UPReg {
-			if up.Len() > bound {
-				return fmt.Errorf("core: |UP(R%d, %d)| = %d exceeds 4^%d = %d", reg, round.R, up.Len(), round.R, bound)
-			}
+		if err := lemma51Violation(round.R, bound, round.UPProc, reg, regUP); err != nil {
+			return err
 		}
 	}
 	return nil

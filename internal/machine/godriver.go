@@ -1,112 +1,100 @@
+//go:build go1.23
+
 package machine
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 
 	"jayanti98/internal/shmem"
 )
 
 // goDriver is the goroutine engine: the algorithm body runs in direct style
-// on its own goroutine and synchronizes with the scheduler over unbuffered
-// channels. This is the reference implementation of the process model — the
-// body is ordinary Go code, so it can express anything (closures over local
-// state, universal constructions, helper types) at the cost of two channel
-// handoffs per step.
+// as a coroutine (iter.Pull). next resumes the body until its next yield
+// point and returns the action it published; toss and resp store the
+// scheduler's input in a field that the body reads once it is resumed.
+// Control passes by a direct coroutine switch, never through the
+// scheduler's run queue, so a step costs one switch in and one back and no
+// channel, lock or wakeup. This is the reference implementation of the
+// process model — the body is ordinary Go code, so it can express anything
+// (closures over local state, universal constructions, helper types).
+//
+// The coroutine may be resumed from any goroutine, one at a time, so a
+// machine started on one goroutine can be stepped by a sweep worker on
+// another.
 type goDriver struct {
-	actions   chan Action
-	tossIn    chan int64
-	respIn    chan shmem.Response
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	pull func() (Action, bool)
+	stop func()
+	// yield publishes an action from inside the body and reports whether
+	// the machine is still wanted (false once close has run).
+	yield  func(Action) bool
+	tossIn int64
+	respIn shmem.Response
 }
 
-// errKilled is the sentinel panic used to unwind an abandoned machine body.
+// killedSentinel is the panic used to unwind the body of a closed machine.
 type killedSentinel struct{}
 
 func startGoDriver(alg Algorithm, id, n int) *goDriver {
-	g := &goDriver{
-		actions: make(chan Action),
-		tossIn:  make(chan int64),
-		respIn:  make(chan shmem.Response),
-		quit:    make(chan struct{}),
-	}
+	g := &goDriver{}
 	env := &Env{id: id, n: n, m: g}
-	g.wg.Add(1)
-	go g.run(alg, env)
+	g.pull, g.stop = iter.Pull(func(yield func(Action) bool) {
+		g.yield = yield
+		if final := runBody(alg, env); final.Kind != 0 {
+			yield(final)
+		}
+	})
 	return g
 }
 
-func (g *goDriver) run(alg Algorithm, env *Env) {
-	defer g.wg.Done()
-	var final Action
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(killedSentinel); killed {
-					final = Action{} // swallowed; no final action published
-					return
-				}
-				final = Action{Kind: ActCrash, Ret: fmt.Sprintf("panic: %v", r)}
+// runBody runs the body to completion and returns its final action:
+// ActReturn, ActCrash for a panic, or the zero Action when the body was
+// unwound by close.
+func runBody(alg Algorithm, env *Env) (final Action) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(killedSentinel); killed {
+				final = Action{} // swallowed; no final action published
+				return
 			}
-		}()
-		ret := alg.Run(env)
-		final = Action{Kind: ActReturn, Ret: ret}
-	}()
-	if final.Kind == 0 {
-		return // killed
-	}
-	select {
-	case g.actions <- final:
-	case <-g.quit:
-	}
-}
-
-// yieldToss publishes a pending toss and blocks for its outcome.
-func (g *goDriver) yieldToss() int64 {
-	select {
-	case g.actions <- Action{Kind: ActToss}:
-	case <-g.quit:
-		panic(killedSentinel{})
-	}
-	select {
-	case v := <-g.tossIn:
-		return v
-	case <-g.quit:
-		panic(killedSentinel{})
-	}
-}
-
-// yieldOp publishes a pending shared-memory op and blocks for its response.
-func (g *goDriver) yieldOp(op shmem.Op) shmem.Response {
-	select {
-	case g.actions <- Action{Kind: ActOp, Op: op}:
-	case <-g.quit:
-		panic(killedSentinel{})
-	}
-	select {
-	case r := <-g.respIn:
-		return r
-	case <-g.quit:
-		panic(killedSentinel{})
-	}
-}
-
-func (g *goDriver) next() Action { return <-g.actions }
-
-func (g *goDriver) toss(outcome int64) { g.tossIn <- outcome }
-
-func (g *goDriver) resp(r shmem.Response) { g.respIn <- r }
-
-func (g *goDriver) close() {
-	g.closeOnce.Do(func() {
-		close(g.quit)
-		// Drain a possibly in-flight action so the body's send completes.
-		select {
-		case <-g.actions:
-		default:
+			final = Action{Kind: ActCrash, Ret: fmt.Sprintf("panic: %v", r)}
 		}
-		g.wg.Wait()
-	})
+	}()
+	return Action{Kind: ActReturn, Ret: alg.Run(env)}
 }
+
+// yieldToss publishes a pending toss and suspends until its outcome is
+// delivered.
+func (g *goDriver) yieldToss() int64 {
+	if !g.yield(Action{Kind: ActToss}) {
+		panic(killedSentinel{})
+	}
+	return g.tossIn
+}
+
+// yieldOp publishes a pending shared-memory op and suspends until its
+// response is delivered.
+func (g *goDriver) yieldOp(op shmem.Op) shmem.Response {
+	if !g.yield(Action{Kind: ActOp, Op: op}) {
+		panic(killedSentinel{})
+	}
+	return g.respIn
+}
+
+func (g *goDriver) next() Action {
+	a, ok := g.pull()
+	if !ok {
+		// Only a closed machine's body ends without a final action.
+		return Action{Kind: ActCrash, Ret: "machine: next on a closed machine"}
+	}
+	return a
+}
+
+func (g *goDriver) toss(outcome int64) { g.tossIn = outcome }
+
+func (g *goDriver) resp(r shmem.Response) { g.respIn = r }
+
+// close stops the coroutine: a body suspended in yield sees false and
+// unwinds through killedSentinel; a body never resumed never runs.
+// Calling it again does nothing.
+func (g *goDriver) close() { g.stop() }

@@ -14,9 +14,9 @@
 // readable.
 //
 // Two engines can sit behind a Machine (see Engine): the goroutine engine
-// parks the direct-style body on its own goroutine and shuttles actions and
-// responses over channels, and the VM engine single-steps a compiled
-// bytecode chunk in-line (package vmachine). Algorithms that carry a chunk
+// runs the direct-style body as a coroutine (iter.Pull) that the scheduler
+// resumes once per step, and the VM engine single-steps a compiled bytecode
+// chunk in-line (package vmachine). Algorithms that carry a chunk
 // (NewCompiled) run on either; schedulers cannot tell them apart — package
 // lockstep proves that statement mechanically.
 //
@@ -80,8 +80,8 @@ type TossAssignment func(pid, j int) int64
 func ZeroTosses(int, int) int64 { return 0 }
 
 // yielder is what an Env needs from its machine: a way to publish a pending
-// action and block for its input. Only the goroutine engine runs bodies, so
-// only goDriver implements it.
+// action and suspend until its input is delivered. Only the goroutine
+// engine runs bodies, so only goDriver implements it.
 type yielder interface {
 	yieldToss() int64
 	yieldOp(op shmem.Op) shmem.Response
@@ -198,13 +198,13 @@ func New(name string, body Body) Algorithm {
 }
 
 // driver is the engine behind a Machine: it produces the next pending
-// action and accepts the scheduler's inputs. goDriver runs the direct-style
-// body on a goroutine; vmDriver steps a compiled chunk in-line. All
-// bookkeeping (pending-action caching, terminal state, step and toss
-// counts, the history digest) lives in Machine itself, so the two engines
-// cannot diverge in what they record.
+// action and accepts the scheduler's inputs. goDriver resumes the
+// direct-style body as a coroutine; vmDriver steps a compiled chunk
+// in-line. All bookkeeping (pending-action caching, terminal state, step
+// and toss counts, the history digest) lives in Machine itself, so the two
+// engines cannot diverge in what they record.
 type driver interface {
-	// next blocks until the engine's next action is available.
+	// next runs the engine to its next action and returns it.
 	next() Action
 	// toss delivers a coin-toss outcome for a pending ActToss.
 	toss(outcome int64)
@@ -218,7 +218,9 @@ type driver interface {
 // drive with Peek/DeliverToss/DeliverOpResponse, and always Close when done
 // with it (Close is idempotent and safe on terminated machines).
 //
-// Machine is not safe for concurrent use by multiple scheduler goroutines.
+// Machine is not safe for concurrent use by multiple scheduler goroutines,
+// but it may be handed from one goroutine to another between calls (sweep
+// workers do), given the usual happens-before edge between the two.
 type Machine struct {
 	id     int
 	alg    Algorithm
@@ -256,9 +258,9 @@ func (m *Machine) EngineName() string { return m.engine }
 // CheckIndist must keep history enabled. Call before the first Peek.
 func (m *Machine) DisableHistory() { m.noHistory = true }
 
-// Peek blocks until the machine's next pending action is available and
-// returns it without consuming it. After the machine terminates (or
-// crashes), Peek keeps returning the final action.
+// Peek runs the machine to its next pending action and returns it without
+// consuming it. After the machine terminates (or crashes), Peek keeps
+// returning the final action.
 func (m *Machine) Peek() Action {
 	if m.hasPending {
 		return m.pending
@@ -357,9 +359,9 @@ func (m *Machine) HistoryDigest() (events int, sum uint64, enabled bool) {
 	return m.events, m.dig.sum, true
 }
 
-// Close abandons the machine: any underlying goroutine is unwound and
-// reclaimed. Close is idempotent and must be called (directly or via a
-// runner) for every started machine.
+// Close abandons the machine: a suspended direct-style body is unwound and
+// its coroutine reclaimed. Close is idempotent and must be called
+// (directly or via a runner) for every started machine.
 func (m *Machine) Close() { m.drv.close() }
 
 // StartAll starts machines for processes 0..n-1 of alg under the default

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"jayanti98/internal/shmem"
 )
@@ -257,6 +259,116 @@ func TestCloseBeforeFirstPeek(t *testing.T) {
 	alg := New("fast", func(e *Env) shmem.Value { return nil })
 	m := Start(alg, 0, 1)
 	m.Close() // must not hang even if the goroutine already sent its action
+}
+
+// TestCloseAllReclaimsGoroutines closes many machines suspended mid-op and
+// checks that every coroutine behind them is gone: a leak here would grow
+// with every adversary run.
+func TestCloseAllReclaimsGoroutines(t *testing.T) {
+	alg := New("loop", func(e *Env) shmem.Value {
+		for {
+			e.Read(0)
+		}
+	})
+	base := runtime.NumGoroutine()
+	ms := StartAllEngine(alg, 64, EngineGoroutine)
+	for _, m := range ms {
+		m.Peek()
+		m.DeliverOpResponse(shmem.Response{})
+		if a := m.Peek(); a.Kind != ActOp {
+			t.Fatalf("machine %d: action %v, want op", m.ID(), a)
+		}
+	}
+	CloseAll(ms)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after CloseAll: %d, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMachineSteppedFromTwoGoroutines hands one machine back and forth
+// between two goroutines, one step each, as sweep workers may: the run
+// must be the one a single goroutine sees.
+func TestMachineSteppedFromTwoGoroutines(t *testing.T) {
+	alg := New("sum", func(e *Env) shmem.Value {
+		sum := int64(0)
+		for i := 0; i < 10; i++ {
+			sum += e.Toss()
+			e.Swap(0, sum)
+		}
+		return sum
+	})
+	ta := func(pid, j int) int64 { return int64(j + 1) }
+	step := func(m *Machine, mem *shmem.Memory) bool {
+		switch a := m.Peek(); a.Kind {
+		case ActToss:
+			m.DeliverToss(ta(0, m.NumTosses()))
+		case ActOp:
+			m.DeliverOpResponse(mem.Apply(0, a.Op))
+		default:
+			return false
+		}
+		return true
+	}
+
+	solo := StartEngine(alg, 0, 1, EngineGoroutine)
+	defer solo.Close()
+	soloMem := shmem.New()
+	for step(solo, soloMem) {
+	}
+
+	m := StartEngine(alg, 0, 1, EngineGoroutine)
+	defer m.Close()
+	mem := shmem.New()
+	turns := [2]chan bool{make(chan bool), make(chan bool)}
+	done := make(chan struct{})
+	for w := range turns {
+		go func(w int) {
+			for range turns[w] {
+				more := step(m, mem)
+				if !more {
+					close(done)
+					return
+				}
+				turns[1-w] <- true
+			}
+		}(w)
+	}
+	turns[0] <- true
+	<-done
+
+	if m.Crashed() != nil || m.ReturnValue() != solo.ReturnValue() {
+		t.Fatalf("handed-off machine returned %v (crash %v), single goroutine %v", m.ReturnValue(), m.Crashed(), solo.ReturnValue())
+	}
+	if m.HistoryKey() != solo.HistoryKey() || m.Steps() != 10 || m.NumTosses() != 10 {
+		t.Fatalf("handed-off machine: key %s steps %d tosses %d; single goroutine: key %s",
+			m.HistoryKey(), m.Steps(), m.NumTosses(), solo.HistoryKey())
+	}
+}
+
+func TestPanicAfterFirstOpIsCrash(t *testing.T) {
+	alg := New("late-boom", func(e *Env) shmem.Value {
+		e.Read(0)
+		panic("late kaboom")
+	})
+	m := StartEngine(alg, 0, 1, EngineGoroutine)
+	defer m.Close()
+	if a := m.Peek(); a.Kind != ActOp {
+		t.Fatalf("first action %v, want op", a)
+	}
+	m.DeliverOpResponse(shmem.Response{})
+	if a := m.Peek(); a.Kind != ActCrash {
+		t.Fatalf("action after the op = %v, want crash", a)
+	}
+	if m.Crashed() == nil || !strings.Contains(m.Crashed().Error(), "late kaboom") {
+		t.Fatalf("Crashed() = %v", m.Crashed())
+	}
+	if m.Steps() != 1 {
+		t.Fatalf("steps = %d, want 1", m.Steps())
+	}
 }
 
 func TestStartAllAndCloseAll(t *testing.T) {

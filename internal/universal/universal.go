@@ -59,7 +59,8 @@ func (r Record) String() string {
 }
 
 // Log is an immutable sequence of records. Logs stored in shared registers
-// must never be modified in place; all log operations copy.
+// must never be modified in place: an operation that changes a log copies
+// it, and one that changes nothing may return its input (see merge).
 type Log []Record
 
 // Contains reports whether the log holds the record with identity
@@ -105,13 +106,17 @@ func asLog(v any) Log {
 }
 
 // merge returns base extended, in order, with the records of the extra
-// logs that base does not already contain (first occurrence wins). The
-// result shares no backing storage with base.
+// logs that base does not already contain (first occurrence wins). When no
+// extra record is new it returns base itself, with no copy (a Group-Update
+// node that already holds every record of its children). When the log grows
+// the result is a fresh log that shares no backing storage with base, so
+// a log stored in a register is never modified. Callers therefore must not
+// append to a merge result in place; they only ever merge it again.
 //
 // Membership is one bitset keyed by Pid·(maxSeq+1)+Seq, sized by a
 // pre-scan of the inputs; logs carry at most a few records per process,
-// so the set usually fits the stack buffer and merge allocates only its
-// result.
+// so the set usually fits the stack buffer and merge allocates only a
+// grown result.
 func merge(base Log, extras ...Log) Log {
 	maxPid, maxSeq := 0, 0
 	scan := func(l Log) {
@@ -143,14 +148,21 @@ func merge(base Log, extras ...Log) Log {
 	for _, r := range base {
 		add(r)
 	}
-	out := make(Log, len(base), len(base)+4)
-	copy(out, base)
+	var out Log // nil until the first new record
 	for _, extra := range extras {
 		for _, r := range extra {
-			if add(r) {
-				out = append(out, r)
+			if !add(r) {
+				continue
 			}
+			if out == nil {
+				out = make(Log, len(base), len(base)+4)
+				copy(out, base)
+			}
+			out = append(out, r)
 		}
+	}
+	if out == nil {
+		return base
 	}
 	return out
 }

@@ -72,6 +72,29 @@ func TestMergeEmptyBase(t *testing.T) {
 	}
 }
 
+// TestMergeSharesBaseOnlyWhenNothingIsNew: a merge that adds no record
+// returns base itself, and a merge that grows the log returns a fresh log
+// that neither aliases base nor writes into base's spare capacity.
+func TestMergeSharesBaseOnlyWhenNothingIsNew(t *testing.T) {
+	base := make(Log, 2, 8)
+	base[0], base[1] = Record{Pid: 0, Seq: 0}, Record{Pid: 1, Seq: 0}
+	same := merge(base, Log{{Pid: 1, Seq: 0}}, nil, base)
+	if len(same) != 2 || &same[0] != &base[0] {
+		t.Fatalf("merge adding nothing = %v, want base itself", same)
+	}
+	grown := merge(base, Log{{Pid: 1, Seq: 0}, {Pid: 2, Seq: 0}})
+	if len(grown) != 3 || grown[2].Pid != 2 || &grown[0] == &base[0] {
+		t.Fatalf("growing merge = %v, want a fresh 3-record log", grown)
+	}
+	if spare := base[:3]; spare[2] != (Record{}) || len(base) != 2 {
+		t.Fatalf("growing merge wrote into base: %v", spare)
+	}
+	grown[0].Pid = 99
+	if base[0].Pid != 0 {
+		t.Fatal("growing merge aliased base")
+	}
+}
+
 // mergeMapReference is the original map-keyed merge, kept as the
 // reference the bitset merge is checked against.
 func mergeMapReference(base Log, extras ...Log) Log {

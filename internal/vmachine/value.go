@@ -5,11 +5,11 @@
 // with no interface{} boxing of coin outcomes or local values.
 //
 // The package exists for raw speed on the adversary and exploration hot
-// paths: the direct-style interpreter of package machine parks a goroutine
-// per process and pays two channel handoffs per shared-memory step
-// (~1.4µs on the committed baseline), while an Exec steps in-line in a few
-// tens of nanoseconds and its whole state is a flat locals array that can
-// be snapshotted by copying.
+// paths: the direct-style interpreter of package machine runs each process
+// as a coroutine and pays two coroutine switches per shared-memory step
+// (a few hundred nanoseconds), while an Exec steps in-line in a few tens
+// of nanoseconds and its whole state is a flat locals array that can be
+// snapshotted by copying.
 //
 // Chunks are immutable after Compile and safely shared read-only by any
 // number of Execs on any number of goroutines. Algorithm-specific helpers
